@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +42,10 @@ CARTWRIGHT_STEGER = "cartwright-steger"
 
 class PresentationParseError(SlopekitError):
     """A presentation file failed to parse; the message carries the line."""
+
+
+class InputFileError(SlopekitError):
+    """An input file exists but cannot be read as text, or is not valid JSON."""
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +132,25 @@ def presentation_from_json_dict(data: Mapping) -> GroupPresentation:
     return GroupPresentation(len(table), tuple(relators))
 
 
+def _read_input(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (IsADirectoryError, PermissionError, UnicodeDecodeError) as exc:
+        raise InputFileError(f"cannot read {path}: {exc}") from exc
+
+
+def _parse_json(source: str, path: str):
+    try:
+        return json.loads(source)
+    except json.JSONDecodeError as exc:
+        raise InputFileError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def load_presentation(path: str) -> GroupPresentation:
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
+    source = _read_input(path)
     if source.lstrip().startswith("{"):
-        return presentation_from_json_dict(json.loads(source))
+        return presentation_from_json_dict(_parse_json(source, path))
     return parse_presentation(source)
 
 
@@ -173,19 +190,6 @@ def _parse_fraction(text: str) -> Fraction:
         raise SlopekitError(f"bad rational {text!r}: {exc}")
 
 
-def _thread_cap() -> int | None:
-    raw = os.environ.get("SLOPEKIT_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SlopekitError(f"SLOPEKIT_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise SlopekitError("SLOPEKIT_THREADS must be >= 1")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Config
 
@@ -210,7 +214,6 @@ class RunConfig:
     fmt: str = "text"
     out: str | None = None
     plot: str | None = None
-    threads: int | None = None
 
 
 def _emit(config: RunConfig, payload: str) -> None:
@@ -289,7 +292,7 @@ def _cmd_alexander(config: RunConfig, character: TorsionCharacter | None) -> int
 
 def _cmd_scan(config: RunConfig) -> int:
     presentation = load_presentation(config.input)
-    report = scan_jumping_loci(presentation, config.max_order, max_workers=config.threads)
+    report = scan_jumping_loci(presentation, config.max_order)
     if config.fmt == "json":
         payload = _json_text(report.to_json_dict())
     else:
@@ -311,8 +314,8 @@ def _cmd_scan(config: RunConfig) -> int:
 
 def _build_epimorphism(config: RunConfig, rank: int) -> AbelianEpimorphism:
     if config.epimorphism_path:
-        with open(config.epimorphism_path, "r", encoding="utf-8") as handle:
-            return AbelianEpimorphism.from_json_dict(json.load(handle), source_rank=rank)
+        data = _parse_json(_read_input(config.epimorphism_path), config.epimorphism_path)
+        return AbelianEpimorphism.from_json_dict(data, source_rank=rank)
     weights = config.weights
     if weights is None:
         weights = tuple([0] * rank)
@@ -328,7 +331,7 @@ def _cmd_cover_b1(config: RunConfig) -> int:
     fa = free_abelianization(presentation)
     alpha = _build_epimorphism(config, fa.rank)
     bound = config.max_order if config.max_order is not None else alpha.exponent
-    report = scan_jumping_loci(presentation, bound, max_workers=config.threads)
+    report = scan_jumping_loci(presentation, bound)
     hironaka = hironaka_b1(fa.rank, report, alpha)
     schreier = subgroup_b1(presentation, alpha)
     agree = hironaka.b1 == schreier
@@ -555,7 +558,6 @@ def config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     config.out = getattr(args, "out", None)
     config.input = getattr(args, "input", None)
     config.max_order = getattr(args, "max_order", None)
-    config.threads = _thread_cap()
     if args.subcommand == "alexander":
         config.char = args.char
     if args.subcommand == "scan" and config.max_order < 1:

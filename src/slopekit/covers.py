@@ -144,8 +144,13 @@ class AbelianEpimorphism:
 
     @classmethod
     def from_json_dict(cls, data: Mapping, source_rank: int | None = None) -> "AbelianEpimorphism":
-        factors = tuple(data["factors"])
-        matrix = tuple(tuple(row) for row in data["matrix"])
+        try:
+            factors = tuple(data["factors"])
+            matrix = tuple(tuple(row) for row in data["matrix"])
+        except (KeyError, TypeError) as exc:
+            raise NotAnEpimorphismError(
+                f"epimorphism JSON needs factors and matrix: {exc}"
+            ) from exc
         if source_rank is None:
             if not matrix:
                 raise NotAnEpimorphismError("source rank cannot be inferred from an empty matrix")

@@ -404,7 +404,9 @@ class FreeAbelianization:
     torsion_coefficients: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
+# Bounded: a long-lived process sees many presentations, while one command
+# only ever revisits the few it is working on.
+@lru_cache(maxsize=32)
 def free_abelianization(presentation: GroupPresentation) -> FreeAbelianization:
     """Compute the maximal free abelian quotient Z^b and generator images.
 

@@ -4,10 +4,12 @@ A torsion character xi of the maximal free abelian quotient Z^b sends the
 j-th basis element to a fixed power of a primitive m-th root of unity.  The
 twisted first cohomology h^1(G; C_xi) is computed from the presentation
 2-complex: for nontrivial xi it equals g - 1 - rank A(xi), where A(xi) is the
-Alexander matrix of Fox derivatives evaluated at xi.  All evaluation happens
-in the m-th cyclotomic field represented exactly as Q[z]/(Phi_m(z)), and
-ranks come from fraction-free Gaussian elimination, so there is no floating
-point and no tolerance anywhere.
+Alexander matrix of Fox derivatives evaluated at xi.  Every Fox derivative
+at xi lies in the ring Z[zeta_m] = Z[z]/(Phi_m(z)), stored as its integer
+residue vector; ranks over the field Q(zeta_m) come from fraction-free
+Gaussian elimination, which stays in Z[zeta_m].  Rational coefficients
+appear only when a caller supplies them.  There is no floating point and no
+tolerance anywhere.
 
 Scanning all characters of order up to a bound N yields the finite sets
 
@@ -32,7 +34,6 @@ exponent attaches an explicit warning to the result.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -89,26 +90,48 @@ def _exact_poly_div(num: Sequence[int], den: Sequence[int]) -> list[int]:
     return quot
 
 
+def _exact(value: Fraction | int) -> Fraction | int:
+    """A rational as an int when it is integral, else as a Fraction."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 class CyclotomicNumber:
     """Element of the m-th cyclotomic field Q(zeta_m) = Q[z]/(Phi_m).
 
-    Stored as the canonical residue: a rational coefficient vector of length
-    phi(m) = deg Phi_m.  All arithmetic is exact; zero testing is decidable
-    by inspection.
+    Stored as the canonical residue mod Phi_m: a coefficient vector of
+    length phi(m) = deg Phi_m.  Integral coefficients are Python ints, so
+    elements of the ring of integers Z[zeta_m] - every Alexander matrix
+    entry - never touch Fraction; a coefficient is a Fraction only when it
+    is a non-integral rational, which only a caller can supply.  Since
+    ``3 == Fraction(3)``, ``hash(3) == hash(Fraction(3))`` and
+    ``str(3) == str(Fraction(3))``, equality, hashing and rendering do not
+    depend on how an integral value was given.  All arithmetic is exact;
+    zero testing is decidable by inspection.
     """
 
     __slots__ = ("modulus", "coeffs")
 
     def __init__(self, modulus: int, coeffs: Iterable[Fraction | int]):
         phi = len(cyclotomic_polynomial(modulus)) - 1
-        vec = [Fraction(c) for c in coeffs]
+        vec = [_exact(c) for c in coeffs]
         if len(vec) > phi:
-            vec = _reduce_mod_cyclotomic(modulus, vec)
-        vec += [Fraction(0)] * (phi - len(vec))
+            vec = [_exact(c) for c in _reduce_mod_cyclotomic(modulus, vec)]
+        vec += [0] * (phi - len(vec))
         self.modulus = modulus
         self.coeffs = tuple(vec)
 
     # -- constructors
+
+    @classmethod
+    def _from_residue(cls, modulus: int, coeffs: tuple[int, ...]) -> "CyclotomicNumber":
+        """Wrap a canonical residue (length phi(m), ints) without re-checking it."""
+        number = object.__new__(cls)
+        number.modulus = modulus
+        number.coeffs = coeffs
+        return number
 
     @classmethod
     def zero(cls, modulus: int) -> "CyclotomicNumber":
@@ -116,7 +139,7 @@ class CyclotomicNumber:
 
     @classmethod
     def from_rational(cls, modulus: int, value: Fraction | int) -> "CyclotomicNumber":
-        return cls(modulus, (Fraction(value),))
+        return cls(modulus, (value,))
 
     @classmethod
     def root_power(cls, modulus: int, power: int) -> "CyclotomicNumber":
@@ -126,7 +149,7 @@ class CyclotomicNumber:
     @classmethod
     def from_root_powers(cls, modulus: int, powers: Mapping[int, int]) -> "CyclotomicNumber":
         """Integer combination sum(coeff * zeta_m**power)."""
-        vec = [Fraction(0)] * modulus
+        vec = [0] * modulus
         for power, coeff in powers.items():
             vec[power % modulus] += coeff
         return cls(modulus, vec)
@@ -134,13 +157,13 @@ class CyclotomicNumber:
     # -- predicates
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     # -- arithmetic
 
@@ -168,14 +191,7 @@ class CyclotomicNumber:
 
     def __mul__(self, other: "CyclotomicNumber | int") -> "CyclotomicNumber":
         other = self._check(other)
-        a, b = self.coeffs, other.coeffs
-        conv = [Fraction(0)] * (len(a) + len(b) - 1 or 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        return CyclotomicNumber(self.modulus, conv)
+        return CyclotomicNumber(self.modulus, _product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -212,22 +228,41 @@ class CyclotomicNumber:
         return {"modulus": self.modulus, "coefficients": [str(c) for c in self.coeffs]}
 
 
-def _reduce_mod_cyclotomic(modulus: int, vec: list[Fraction]) -> list[Fraction]:
+def _product(a: Sequence[Fraction | int], b: Sequence[Fraction | int]) -> list[Fraction | int]:
+    """Unreduced product of two coefficient vectors (ascending powers of z)."""
+    out = [0] * (len(a) + len(b) - 1 or 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
+    return out
+
+
+@lru_cache(maxsize=None)
+def _reduction_terms(modulus: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """deg Phi_m and the (offset, coefficient) pairs of its nonzero lower terms."""
     phi_poly = cyclotomic_polynomial(modulus)
     deg = len(phi_poly) - 1
+    return deg, tuple((k - deg, a) for k, a in enumerate(phi_poly[:deg]) if a)
+
+
+def _reduce_mod_cyclotomic(modulus: int, vec: list[Fraction | int]) -> list[Fraction | int]:
+    """Residue of a coefficient vector mod Phi_m (monic), reducing in place."""
+    deg, terms = _reduction_terms(modulus)
     for i in range(len(vec) - 1, deg - 1, -1):
         c = vec[i]
         if c:
-            vec[i] = Fraction(0)
-            for k in range(deg):
-                vec[i - deg + k] -= c * phi_poly[k]
+            vec[i] = 0
+            for offset, a in terms:
+                vec[i + offset] -= c * a
     return vec[:deg]
 
 
 @lru_cache(maxsize=None)
 def _root_power(modulus: int, power: int) -> CyclotomicNumber:
-    vec = [Fraction(0)] * (power + 1)
-    vec[power] = Fraction(1)
+    vec = [0] * (power + 1)
+    vec[power] = 1
     return CyclotomicNumber(modulus, vec)
 
 
@@ -319,22 +354,22 @@ def _fox_row_at_character(
 
     Letters are processed left to right while tracking the character value
     of the prefix, so this works even when H1 has torsion (the character
-    only sees the free quotient).
+    only sees the free quotient).  Each derivative is an integer combination
+    of powers of zeta_m, accumulated and reduced on ints.
     """
-    powers: list[dict[int, int]] = [{} for _ in range(generator_count)]
+    vecs = [[0] * modulus for _ in range(generator_count)]
     s = 0
     for letter in relator:
-        gen = abs(letter)
-        delta = shifts[gen - 1]
         if letter > 0:
-            bucket = powers[gen - 1]
-            bucket[s] = bucket.get(s, 0) + 1
-            s = (s + delta) % modulus
+            vecs[letter - 1][s] += 1
+            s = (s + shifts[letter - 1]) % modulus
         else:
-            s = (s - delta) % modulus
-            bucket = powers[gen - 1]
-            bucket[s] = bucket.get(s, 0) - 1
-    return [CyclotomicNumber.from_root_powers(modulus, bucket) for bucket in powers]
+            s = (s - shifts[-letter - 1]) % modulus
+            vecs[-letter - 1][s] -= 1
+    return [
+        CyclotomicNumber._from_residue(modulus, tuple(_reduce_mod_cyclotomic(modulus, vec)))
+        for vec in vecs
+    ]
 
 
 def evaluate_alexander_matrix(
@@ -344,8 +379,9 @@ def evaluate_alexander_matrix(
 
     Computed letter-by-letter from the relators (never through the symbolic
     Laurent matrix), one row per relator, one column per generator; entries
-    live in the cyclotomic field of the character's order.  At the trivial
-    character this returns the integer exponent matrix, relators as rows.
+    live in Z[zeta_m], m the character's order, with int coefficients.  At
+    the trivial character this returns the integer exponent matrix,
+    relators as rows.
     """
     shifts = _character_shift_table(presentation, character)
     return [
@@ -366,22 +402,38 @@ def evaluate_laurent(poly: LaurentPolynomial, character: TorsionCharacter) -> Cy
 
 
 def cyclotomic_rank(rows: Sequence[Sequence[CyclotomicNumber]]) -> int:
-    """Rank over the cyclotomic field by fraction-free Gaussian elimination."""
-    work = [list(row) for row in rows]
+    """Rank over the cyclotomic field by fraction-free Gaussian elimination.
+
+    Elimination runs on the coefficient vectors themselves: the pivot step
+    replaces row_i by p * row_i - q * row_pivot with p, q nonzero, which
+    never divides, so rows in Z[zeta_m] stay integral and no Fraction is
+    built unless a caller supplied one.
+    """
+    work = [[x.coeffs for x in row] for row in rows]
     if not work:
         return 0
+    moduli = {x.modulus for row in rows for x in row}
+    if len(moduli) > 1:
+        raise ValueError("cyclotomic moduli differ")
+    modulus = moduli.pop() if moduli else 1
     ncols = len(work[0])
     rank = 0
     for col in range(ncols):
-        pivot = next((i for i in range(rank, len(work)) if not work[i][col].is_zero()), None)
+        pivot = next((i for i in range(rank, len(work)) if any(work[i][col])), None)
         if pivot is None:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
-        p = work[rank][col]
+        prow = work[rank]
+        p = prow[col]
         for i in range(rank + 1, len(work)):
             q = work[i][col]
-            if not q.is_zero():
-                work[i] = [p * a - q * b for a, b in zip(work[i], work[rank])]
+            if any(q):
+                work[i] = [
+                    _reduce_mod_cyclotomic(
+                        modulus, [x - y for x, y in zip(_product(p, a), _product(q, b))]
+                    )
+                    for a, b in zip(work[i], prow)
+                ]
         rank += 1
         if rank == len(work):
             break
@@ -525,34 +577,21 @@ def _enumerate_characters(rank: int, max_order: int) -> list[TorsionCharacter]:
     return chars
 
 
-def scan_jumping_loci(
-    presentation: GroupPresentation, max_order: int, max_workers: int | None = None
-) -> JumpingLocusReport:
+def scan_jumping_loci(presentation: GroupPresentation, max_order: int) -> JumpingLocusReport:
     """Enumerate all torsion characters of order <= max_order and record jumps.
 
     Characters are visited in canonical form (each exact order once), in
     ascending (order, exponents) order.  The bound is mandatory: nothing in
-    the report speaks about characters of larger order.  ``max_workers``
-    lets evaluations run on a thread pool; results are merged in enumeration
-    order, so the report does not depend on scheduling.
+    the report speaks about characters of larger order.
     """
     if max_order < 1:
         raise ValueError("scan bound must be >= 1")
     fa = free_abelianization(presentation)
-    chars = _enumerate_characters(fa.rank, max_order)
-
-    def depth_of(xi: TorsionCharacter) -> int:
-        return twisted_h1(presentation, xi)
-
-    if max_workers is not None and max_workers > 1 and len(chars) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            depths = list(pool.map(depth_of, chars))
-    else:
-        depths = [depth_of(xi) for xi in chars]
-
-    entries = tuple(
-        JumpEntry(xi, depth) for xi, depth in zip(chars, depths) if depth >= 1
-    )
+    entries = []
+    for xi in _enumerate_characters(fa.rank, max_order):
+        depth = twisted_h1(presentation, xi)
+        if depth >= 1:
+            entries.append(JumpEntry(xi, depth))
     return JumpingLocusReport.build(max_order, fa.rank, entries)
 
 

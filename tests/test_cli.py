@@ -1,6 +1,9 @@
 """Presentation parsing and end-to-end runs of every subcommand."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -247,27 +250,66 @@ def test_out_flag_writes_file(capsys, torus_file, tmp_path):
     assert json.loads(out_path.read_text()) == {"free_rank": 2, "torsion": []}
 
 
-def test_byte_identical_outputs(capsys, genus2_file, monkeypatch):
+def test_byte_identical_outputs(capsys, genus2_file):
     args = ["scan", "--input", genus2_file, "--max-order", "3", "--format", "json"]
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
-    monkeypatch.setenv("SLOPEKIT_THREADS", "4")
-    _, threaded, _ = run_cli(capsys, *args)
-    assert threaded == first
 
 
-def test_bad_thread_env(capsys, torus_file, monkeypatch):
-    monkeypatch.setenv("SLOPEKIT_THREADS", "many")
-    code, _, err = run_cli(capsys, "scan", "--input", torus_file, "--max-order", "2")
-    assert code == 2
-    assert "SLOPEKIT_THREADS" in json.loads(err)["error"]
+def test_cli_import_loads_no_thread_pool():
+    code = "import sys, slopekit.cli; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_missing_input_file(capsys):
     code, _, err = run_cli(capsys, "abelianize", "--input", "/nonexistent/file.txt")
     assert code == 1
     assert json.loads(err)["type"] == "FileNotFoundError"
+
+
+def assert_single_json_error(err, kind, fragment):
+    error = json.loads(err)  # exactly one JSON object, no traceback
+    assert error["type"] == kind and error["module"] == "cli"
+    assert fragment in error["error"]
+
+
+def test_truncated_json_input_is_an_error(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"generators": ["a", "b"], "relators": [')
+    code, out, err = run_cli(capsys, "scan", "--input", str(path), "--max-order", "2")
+    assert code == 1 and out == ""
+    assert_single_json_error(err, "InputFileError", "not valid JSON")
+
+
+def test_directory_input_is_an_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "scan", "--input", str(tmp_path), "--max-order", "2")
+    assert code == 1 and out == ""
+    assert_single_json_error(err, "InputFileError", "cannot read")
+
+
+def test_binary_input_is_an_error(capsys, tmp_path):
+    path = tmp_path / "blob.bin"
+    path.write_bytes(b"\xff\xfe\x00generators")
+    code, out, err = run_cli(capsys, "abelianize", "--input", str(path))
+    assert code == 1 and out == ""
+    assert_single_json_error(err, "InputFileError", "cannot read")
+
+
+def test_epimorphism_without_factors_is_an_error(capsys, genus2_file, tmp_path):
+    epi_path = tmp_path / "epi.json"
+    epi_path.write_text(json.dumps({"matrix": [[1, 0, 0, 0]]}))
+    code, out, err = run_cli(
+        capsys, "cover-b1", "--input", genus2_file, "--epimorphism", str(epi_path)
+    )
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert error["type"] == "NotAnEpimorphismError" and error["module"] == "covers"
+    assert "factors" in error["error"]
 
 
 def test_usage_errors_exit_2(capsys):

@@ -232,6 +232,14 @@ def test_free_abelianization_images():
     assert fa_t.generator_images == ((1,), (1,))
 
 
+def test_free_abelianization_cache_is_bounded():
+    maxsize = free_abelianization.cache_info().maxsize
+    assert maxsize is not None
+    for n in range(1, maxsize + 10):
+        free_abelianization(GroupPresentation(1, (Word((1,) * n),)))
+    assert free_abelianization.cache_info().currsize == maxsize
+
+
 # ---------------------------------------------------------------------------
 # Fox calculus
 

@@ -1,5 +1,6 @@
 """Cyclotomic arithmetic, twisted h^1, scans, Hironaka, coprime covers."""
 
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -25,6 +26,7 @@ from slopekit.jumping_loci import (
     cartwright_steger_report,
     coprime_cover_b1,
     cyclotomic_polynomial,
+    cyclotomic_rank,
     evaluate_alexander_matrix,
     evaluate_laurent,
     exponent_of,
@@ -66,6 +68,49 @@ def test_cyclotomic_arithmetic_is_exact():
     assert CyclotomicNumber(5, [Fraction(1, 2)]) * 2 == 1
     with pytest.raises(ValueError):
         CyclotomicNumber.root_power(4, 1) + CyclotomicNumber.root_power(3, 1)
+
+
+def test_non_integral_coefficient_arithmetic_and_rank():
+    half = CyclotomicNumber(5, [Fraction(1, 2), 0, Fraction(-3, 4)])
+    z = CyclotomicNumber.root_power(5, 1)
+    assert half.coeffs == (Fraction(1, 2), 0, Fraction(-3, 4), 0)
+    assert (half * 4).coeffs == (2, 0, -3, 0)
+    assert all(type(c) is int for c in (half * 4).coeffs)
+    assert half + half == CyclotomicNumber(5, [1, 0, Fraction(-3, 2)])
+    assert str(half) == "1/2 - 3/4*z^2"
+    assert half.to_json() == {"modulus": 5, "coefficients": ["1/2", "0", "-3/4", "0"]}
+    # the second row is 4 times the first
+    assert cyclotomic_rank([[half, half * z], [4 * half, 4 * half * z]]) == 1
+    assert cyclotomic_rank([[half, z], [z, half]]) == 2
+    assert cyclotomic_rank([[half * 0, CyclotomicNumber.zero(5)]]) == 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 12])
+def test_int_and_fraction_coefficients_agree(m):
+    for k in (-7, -1, 0, 1, 3, 12):
+        as_int = CyclotomicNumber(m, [k])
+        as_fraction = CyclotomicNumber(m, [Fraction(k)])
+        assert as_int == as_fraction
+        assert hash(as_int) == hash(as_fraction)
+        assert str(as_int) == str(as_fraction)
+        assert as_int.to_json() == as_fraction.to_json()
+        assert all(type(c) is int for c in as_fraction.coeffs)
+
+
+def test_alexander_matrix_entries_are_ints():
+    genus2 = surface_group(2)
+    for xi in (TorsionCharacter(5, (1, 2, 3, 4)), TorsionCharacter(12, (1, 0, 7, 6)),
+               TorsionCharacter.trivial(4)):
+        rows = evaluate_alexander_matrix(genus2, xi)
+        assert all(type(c) is int for row in rows for x in row for c in x.coeffs)
+
+
+def test_cyclotomic_polynomial_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for m in range(1, 61):
+        expected = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(m) == tuple(int(c) for c in expected)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +207,35 @@ def test_twisted_h1_trivial_character_is_free_rank():
         assert twisted_h1(presentation, TorsionCharacter.trivial(rank)) == rank
 
 
+def test_twisted_h1_is_galois_invariant():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from slopekit.group_core import GroupPresentation, free_abelianization
+
+    @st.composite
+    def group_and_character(draw):
+        gens = draw(st.integers(2, 3))
+        letters = st.integers(1, gens).flatmap(lambda i: st.sampled_from((i, -i)))
+        relator = draw(st.lists(letters, min_size=1, max_size=10))
+        presentation = GroupPresentation(gens, (relator,))
+        rank = free_abelianization(presentation).rank
+        m = draw(st.integers(2, 9))
+        exponents = tuple(draw(st.lists(st.integers(0, m - 1), min_size=rank, max_size=rank)))
+        return presentation, m, exponents
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(group_and_character())
+    def check(case):
+        presentation, m, exponents = case
+        h1 = twisted_h1(presentation, TorsionCharacter(m, exponents))
+        for u in range(2, m):
+            if gcd(u, m) == 1:
+                conjugate = TorsionCharacter(m, tuple(u * e for e in exponents))
+                assert twisted_h1(presentation, conjugate) == h1
+
+    check()
+
+
 def test_conjugation_symmetry():
     fixtures = [
         (torus_group(), 5),
@@ -221,10 +295,11 @@ def test_scan_nestedness():
         assert deeper <= shallower
 
 
-def test_scan_parallel_matches_serial():
-    serial = scan_jumping_loci(surface_group(2), 3)
-    parallel = scan_jumping_loci(surface_group(2), 3, max_workers=4)
-    assert serial == parallel
+def test_scan_is_deterministic():
+    first = scan_jumping_loci(surface_group(2), 3)
+    second = scan_jumping_loci(surface_group(2), 3)
+    assert first == second
+    assert json.dumps(first.to_json_dict()) == json.dumps(second.to_json_dict())
 
 
 def test_scan_deduplicates_characters():
