@@ -3,9 +3,12 @@
 Subcommands: abelianize, alexander, scan, cover-b1, invariants, density.
 JSON is the canonical machine format; text is a stable human rendering of
 the same data, and the density certificate is also available as CSV.
-Output is byte-identical across runs for identical inputs.  Expected errors
-are emitted to stderr as a single JSON object carrying the originating
-module, with a nonzero exit status.
+Output is byte-identical across runs for identical inputs.  Expected errors,
+including unwritable output paths, are emitted to stderr as a single JSON
+object carrying the originating module, with a nonzero exit status.
+
+The argparse parser is the only declaration of each subcommand's flags:
+every subparser names its handler, which reads the parsed namespace.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
 from typing import Mapping, Sequence
@@ -36,8 +38,6 @@ from .jumping_loci import (
     hironaka_b1,
     scan_jumping_loci,
 )
-
-CARTWRIGHT_STEGER = "cartwright-steger"
 
 
 class PresentationParseError(SlopekitError):
@@ -191,34 +191,12 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Config
+# Rendering
 
 
-@dataclass
-class RunConfig:
-    """Validated invocation: one subcommand plus exactly the flags it needs."""
-
-    subcommand: str
-    input: str | None = None
-    max_order: int | None = None
-    cyclic: int | None = None
-    weights: tuple[int, ...] | None = None
-    epimorphism_path: str | None = None
-    d: int | None = None
-    k: int | None = None
-    target: density_mod.TargetSlope | None = None
-    epsilon: Fraction | None = None
-    max_denominator: int | None = None
-    exponent: int = 1
-    char: str | None = None
-    fmt: str = "text"
-    out: str | None = None
-    plot: str | None = None
-
-
-def _emit(config: RunConfig, payload: str) -> None:
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as handle:
+def _emit(args: argparse.Namespace, payload: str) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload)
     else:
         sys.stdout.write(payload)
@@ -239,24 +217,25 @@ def _laurent_json(poly: LaurentPolynomial) -> list[dict]:
 # Subcommand implementations
 
 
-def _cmd_abelianize(config: RunConfig) -> int:
-    structure = abelianization(load_presentation(config.input))
-    if config.fmt == "json":
+def _cmd_abelianize(args: argparse.Namespace) -> int:
+    structure = abelianization(load_presentation(args.input))
+    if args.fmt == "json":
         payload = _json_text(
             {"free_rank": structure.free_rank, "torsion": list(structure.torsion_coefficients)}
         )
     else:
         torsion = " ".join(map(str, structure.torsion_coefficients)) or "(none)"
         payload = f"free rank: {structure.free_rank}\ntorsion: {torsion}\n"
-    _emit(config, payload)
+    _emit(args, payload)
     return 0
 
 
-def _cmd_alexander(config: RunConfig, character: TorsionCharacter | None) -> int:
-    presentation = load_presentation(config.input)
+def _cmd_alexander(args: argparse.Namespace) -> int:
+    character = _parse_char(args.char) if args.char else None
+    presentation = load_presentation(args.input)
     if character is not None:
         rows = evaluate_alexander_matrix(presentation, character)
-        if config.fmt == "json":
+        if args.fmt == "json":
             payload = _json_text(
                 {
                     "rows": len(rows),
@@ -274,7 +253,7 @@ def _cmd_alexander(config: RunConfig, character: TorsionCharacter | None) -> int
     else:
         matrix = alexander_matrix(presentation)
         variables = free_abelianization(presentation).rank
-        if config.fmt == "json":
+        if args.fmt == "json":
             payload = _json_text(
                 {
                     "rows": len(matrix),
@@ -286,14 +265,14 @@ def _cmd_alexander(config: RunConfig, character: TorsionCharacter | None) -> int
         else:
             body = "\n".join("[" + ", ".join(str(p) for p in row) + "]" for row in matrix)
             payload = f"variables: {variables}\n" + (body + "\n" if matrix else "(no relators)\n")
-    _emit(config, payload)
+    _emit(args, payload)
     return 0
 
 
-def _cmd_scan(config: RunConfig) -> int:
-    presentation = load_presentation(config.input)
-    report = scan_jumping_loci(presentation, config.max_order)
-    if config.fmt == "json":
+def _cmd_scan(args: argparse.Namespace) -> int:
+    presentation = load_presentation(args.input)
+    report = scan_jumping_loci(presentation, args.max_order)
+    if args.fmt == "json":
         payload = _json_text(report.to_json_dict())
     else:
         lines = [
@@ -308,30 +287,30 @@ def _cmd_scan(config: RunConfig) -> int:
                 f"{list(entry.character.exponents)}: depth {entry.depth}"
             )
         payload = "\n".join(lines) + "\n"
-    _emit(config, payload)
+    _emit(args, payload)
     return 0
 
 
-def _build_epimorphism(config: RunConfig, rank: int) -> AbelianEpimorphism:
-    if config.epimorphism_path:
-        data = _parse_json(_read_input(config.epimorphism_path), config.epimorphism_path)
+def _build_epimorphism(args: argparse.Namespace, rank: int) -> AbelianEpimorphism:
+    if args.epimorphism is not None:
+        data = _parse_json(_read_input(args.epimorphism), args.epimorphism)
         return AbelianEpimorphism.from_json_dict(data, source_rank=rank)
-    weights = config.weights
+    weights = args.weights
     if weights is None:
         weights = tuple([0] * rank)
     if len(weights) != rank:
         raise SlopekitError(
             f"--weights needs {rank} entries (the free rank of H1), got {len(weights)}"
         )
-    return AbelianEpimorphism.cyclic(config.cyclic, weights)
+    return AbelianEpimorphism.cyclic(args.cyclic, weights)
 
 
-def _cmd_cover_b1(config: RunConfig) -> int:
-    presentation = load_presentation(config.input)
+def _cmd_cover_b1(args: argparse.Namespace) -> int:
+    presentation = load_presentation(args.input)
     fa = free_abelianization(presentation)
-    alpha = _build_epimorphism(config, fa.rank)
-    bound = config.max_order if config.max_order is not None else alpha.exponent
-    report = scan_jumping_loci(presentation, bound)
+    alpha = _build_epimorphism(args, fa.rank)
+    # Scanning to the deck group's exponent makes the jumping-locus route complete.
+    report = scan_jumping_loci(presentation, alpha.exponent)
     hironaka = hironaka_b1(fa.rank, report, alpha)
     schreier = subgroup_b1(presentation, alpha)
     agree = hironaka.b1 == schreier
@@ -339,55 +318,36 @@ def _cmd_cover_b1(config: RunConfig) -> int:
         "hironaka_b1": hironaka.b1,
         "reidemeister_schreier_b1": schreier,
         "agree": agree,
-        "scan_bound": bound,
+        "scan_bound": alpha.exponent,
         "deck_exponent": alpha.exponent,
         "warning": hironaka.warning,
         "contributions": [e.to_json_dict() for e in hironaka.contributions],
     }
-    if config.fmt == "json":
+    if args.fmt == "json":
         payload = _json_text(result)
     else:
-        lines = [
-            f"hironaka b1: {hironaka.b1}",
-            f"reidemeister-schreier b1: {schreier}",
-            f"routes agree: {'yes' if agree else 'NO'}",
-        ]
-        if hironaka.warning:
-            lines.append(f"warning: {hironaka.warning}")
-        payload = "\n".join(lines) + "\n"
-    _emit(config, payload)
+        payload = (
+            f"hironaka b1: {hironaka.b1}\n"
+            f"reidemeister-schreier b1: {schreier}\n"
+            f"routes agree: {'yes' if agree else 'NO'}\n"
+        )
+    _emit(args, payload)
     if not agree:
-        if report.scan_bound is not None and report.scan_bound < alpha.exponent:
-            reason = (
-                f"the scan bound {report.scan_bound} is below the deck group exponent "
-                f"{alpha.exponent}, so the jumping-locus route may have missed characters"
-            )
-        else:
-            reason = (
-                "the scan bound covers the deck group exponent, so this mismatch "
-                "indicates a bug"
-            )
-        _fail("cover-b1", f"routes disagree ({hironaka.b1} vs {schreier}): {reason}")
+        _fail(
+            "cover-b1",
+            f"routes disagree ({hironaka.b1} vs {schreier}): the scan bound covers the "
+            "deck group exponent, so this mismatch indicates a bug",
+        )
         return 1
     return 0
 
 
-def _require_builtin_profile(config: RunConfig) -> None:
-    name = config.input or CARTWRIGHT_STEGER
-    if name != CARTWRIGHT_STEGER:
-        raise SlopekitError(
-            f"the numeric pipeline only knows the built-in profile "
-            f"{CARTWRIGHT_STEGER!r}, got {name!r}"
-        )
-
-
-def _cmd_invariants(config: RunConfig) -> int:
-    _require_builtin_profile(config)
-    params = surfaces.FamilyParams(config.d, config.k)
+def _cmd_invariants(args: argparse.Namespace) -> int:
+    params = surfaces.FamilyParams(args.d, args.k)
     surface = surfaces.family_invariants(params)
     value = surfaces.slope(surface)
     ok = surfaces.check_geography(surface)
-    if config.fmt == "json":
+    if args.fmt == "json":
         data = surface.to_json_dict()
         data.update(
             {"d": params.d, "k": params.k, "slope": f"{value.numerator}/{value.denominator}",
@@ -400,23 +360,22 @@ def _cmd_invariants(config: RunConfig) -> int:
             f"slope: {value.numerator}/{value.denominator}\n"
             f"geography (2chi <= K2 <= 9chi): {'yes' if ok else 'NO'}\n"
         )
-    _emit(config, payload)
+    _emit(args, payload)
     return 0
 
 
-def _cmd_density(config: RunConfig) -> int:
-    _require_builtin_profile(config)
+def _cmd_density(args: argparse.Namespace) -> int:
     _, fibration = surfaces.cartwright_steger_profile()
-    if config.target is not None:
+    if args.target is not None:
         entries = (
             density_mod.convergence_report(
-                config.target, config.exponent, fibration.fiber_genus, config.epsilon
+                args.target, args.exponent, fibration.fiber_genus, args.epsilon
             ),
         )
-        epsilon = config.epsilon
+        epsilon = args.epsilon
     else:
         certificate = density_mod.density_certificate(
-            config.epsilon, config.exponent, fibration.fiber_genus, config.max_denominator
+            args.epsilon, args.exponent, fibration.fiber_genus, args.max_denominator
         )
         entries = certificate.entries
         epsilon = certificate.epsilon
@@ -434,12 +393,12 @@ def _cmd_density(config: RunConfig) -> int:
             "gap": f"{entry.gap.numerator}/{entry.gap.denominator}",
         }
 
-    if config.fmt == "json":
+    if args.fmt == "json":
         payload = _json_text(
             {"epsilon": f"{epsilon.numerator}/{epsilon.denominator}",
              "entries": [entry_json(e) for e in entries]}
         )
-    elif config.fmt == "text":
+    elif args.fmt == "text":
         lines = [f"epsilon: {epsilon}", f"entries: {len(entries)}"]
         for entry in entries:
             lines.append(
@@ -452,11 +411,12 @@ def _cmd_density(config: RunConfig) -> int:
         buffer = StringIO()
         density_mod.write_certificate_csv(entries, buffer)
         payload = buffer.getvalue()
-    _emit(config, payload)
 
-    if config.plot:
-        with open(config.plot, "w", encoding="utf-8") as handle:
+    # The plot goes first, so a plot path that cannot be written leaves stdout empty.
+    if args.plot:
+        with open(args.plot, "w", encoding="utf-8") as handle:
             density_mod.write_slope_svg(entries, handle)
+    _emit(args, payload)
     return 0
 
 
@@ -473,28 +433,15 @@ def _provenance(exc: BaseException) -> str:
     return "cli" if module == "__main__" else module
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch a validated config; returns the process exit status."""
+def run(args: argparse.Namespace) -> int:
+    """Run the parsed subcommand; returns the process exit status."""
     try:
-        if config.subcommand == "abelianize":
-            return _cmd_abelianize(config)
-        if config.subcommand == "alexander":
-            character = _parse_char(config.char) if config.char else None
-            return _cmd_alexander(config, character)
-        if config.subcommand == "scan":
-            return _cmd_scan(config)
-        if config.subcommand == "cover-b1":
-            return _cmd_cover_b1(config)
-        if config.subcommand == "invariants":
-            return _cmd_invariants(config)
-        if config.subcommand == "density":
-            return _cmd_density(config)
-        raise SlopekitError(f"unknown subcommand {config.subcommand!r}")
+        return args.handler(args)
     except SlopekitError as exc:
         _fail(_provenance(exc), str(exc), type(exc).__name__)
         return 1
-    except FileNotFoundError as exc:
-        _fail("cli", str(exc), "FileNotFoundError")
+    except OSError as exc:
+        _fail("cli", str(exc), type(exc).__name__)
         return 1
 
 
@@ -510,40 +457,43 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
 
     p_ab = sub.add_parser("abelianize", help="H1 of a presented group")
+    p_ab.set_defaults(handler=_cmd_abelianize)
     p_ab.add_argument("--input", required=True)
     add_common(p_ab, ("text", "json"), "text")
 
     p_al = sub.add_parser("alexander", help="Alexander matrix, symbolic or at a character")
+    p_al.set_defaults(handler=_cmd_alexander)
     p_al.add_argument("--input", required=True)
     p_al.add_argument("--char", default=None, help="torsion character m:k1,k2,...")
     add_common(p_al, ("text", "json"), "text")
 
     p_sc = sub.add_parser("scan", help="scan the jumping loci up to a character order")
+    p_sc.set_defaults(handler=_cmd_scan)
     p_sc.add_argument("--input", required=True)
-    p_sc.add_argument("--max-order", type=int, required=True, dest="max_order")
+    p_sc.add_argument("--max-order", type=int, required=True)
     add_common(p_sc, ("text", "json"), "text")
 
     p_cb = sub.add_parser("cover-b1", help="b1 of an abelian cover, both routes")
+    p_cb.set_defaults(handler=_cmd_cover_b1)
     p_cb.add_argument("--input", required=True)
-    p_cb.add_argument("--cyclic", type=int, default=None)
+    deck = p_cb.add_mutually_exclusive_group(required=True)
+    deck.add_argument("--cyclic", type=int, default=None)
+    deck.add_argument("--epimorphism", default=None, help="path to an epimorphism JSON file")
     p_cb.add_argument("--weights", default=None)
-    p_cb.add_argument("--epimorphism", default=None, dest="epimorphism_path",
-                      help="path to an epimorphism JSON file")
-    p_cb.add_argument("--max-order", type=int, default=None, dest="max_order",
-                      help="scan bound; defaults to the deck group exponent")
     add_common(p_cb, ("text", "json"), "text")
 
     p_in = sub.add_parser("invariants", help="invariants and slope of one family member")
-    p_in.add_argument("--input", default=CARTWRIGHT_STEGER)
+    p_in.set_defaults(handler=_cmd_invariants)
     p_in.add_argument("--d", type=int, required=True)
     p_in.add_argument("--k", type=int, required=True)
     add_common(p_in, ("text", "json"), "text")
 
     p_de = sub.add_parser("density", help="density certificate or single-target convergence")
-    p_de.add_argument("--input", default=CARTWRIGHT_STEGER)
+    p_de.set_defaults(handler=_cmd_density)
     p_de.add_argument("--epsilon", required=True)
-    p_de.add_argument("--max-denominator", type=int, default=None, dest="max_denominator")
-    p_de.add_argument("--target", default=None, help="target fraction p/q")
+    goal = p_de.add_mutually_exclusive_group(required=True)
+    goal.add_argument("--max-denominator", type=int, default=None)
+    goal.add_argument("--target", default=None, help="target fraction p/q")
     p_de.add_argument("--exponent", type=int, default=1,
                       help="exponent e constraining the cover orders (default 1)")
     p_de.add_argument("--plot", default=None, help="write an SVG scatter of (n, slope)")
@@ -552,44 +502,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    config = RunConfig(subcommand=args.subcommand)
-    config.fmt = getattr(args, "fmt", "text")
-    config.out = getattr(args, "out", None)
-    config.input = getattr(args, "input", None)
-    config.max_order = getattr(args, "max_order", None)
-    if args.subcommand == "alexander":
-        config.char = args.char
-    if args.subcommand == "scan" and config.max_order < 1:
-        parser.error("--max-order must be >= 1")
-    if args.subcommand == "cover-b1":
-        config.cyclic = args.cyclic
-        config.weights = _parse_weights(args.weights) if args.weights is not None else None
-        config.epimorphism_path = args.epimorphism_path
-        if config.epimorphism_path is None and config.cyclic is None:
-            parser.error("cover-b1 needs --cyclic (with --weights) or --epimorphism")
-    if args.subcommand == "invariants":
-        config.d, config.k = args.d, args.k
-    if args.subcommand == "density":
-        config.epsilon = _parse_fraction(args.epsilon)
-        config.max_denominator = args.max_denominator
-        config.target = _parse_target(args.target) if args.target else None
-        config.exponent = args.exponent
-        config.plot = args.plot
-        if config.target is None and config.max_denominator is None:
-            parser.error("density needs --max-denominator or --target")
-    return config
+# Flag values converted after parsing, so that a bad one is a JSON error (exit 2)
+# rather than an argparse usage message.
+_CONVERTERS = {"weights": _parse_weights, "epsilon": _parse_fraction, "target": _parse_target}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.subcommand == "scan" and args.max_order < 1:
+        parser.error("--max-order must be >= 1")
     try:
-        config = config_from_args(args, parser)
+        for name, convert in _CONVERTERS.items():
+            if getattr(args, name, None) is not None:
+                setattr(args, name, convert(getattr(args, name)))
     except SlopekitError as exc:
         _fail(_provenance(exc), str(exc), type(exc).__name__)
         return 2
-    return run(config)
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm, prod
 from typing import Mapping, Sequence
 
@@ -69,16 +70,25 @@ class AbelianEpimorphism:
                 f"the group with invariant factors {factors}"
             )
 
-    def _is_surjective(self) -> bool:
+    @cached_property
+    def _block_smith_form(self) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
+        """Smith form (D, U, V) of the block matrix [A | N], N = diag(factors).
+
+        Both the surjectivity check and the kernel lattice read it, so it is
+        computed once per epimorphism.  Needs at least one factor.
+        """
         k, b = len(self.factors), self.source_rank
-        if k == 0:
-            return True
-        lifted = [
+        block = [
             list(self.matrix[j]) + [self.factors[j] if i == j else 0 for i in range(k)]
             for j in range(k)
         ]
-        d, _, _ = smith_normal_form(IntegerMatrix(lifted, rows=k, cols=b + k))
-        diag = d.diagonal()
+        return smith_normal_form(IntegerMatrix(block, rows=k, cols=b + k))
+
+    def _is_surjective(self) -> bool:
+        k = len(self.factors)
+        if k == 0:
+            return True
+        diag = self._block_smith_form[0].diagonal()
         return len(diag) >= k and all(x == 1 for x in diag[:k])
 
     @classmethod
@@ -128,11 +138,7 @@ class AbelianEpimorphism:
             return tuple(
                 tuple(1 if i == j else 0 for j in range(b)) for i in range(b)
             )
-        block = [
-            list(self.matrix[j]) + [self.factors[j] if i == j else 0 for i in range(k)]
-            for j in range(k)
-        ]
-        d, _, v = smith_normal_form(IntegerMatrix(block, rows=k, cols=b + k))
+        d, _, v = self._block_smith_form
         diag = d.diagonal()
         rank = sum(1 for x in diag if x)
         return tuple(

@@ -192,10 +192,6 @@ class IntegerMatrix:
     def identity(cls, n: int) -> "IntegerMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], rows=n, cols=n)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls([[0] * cols for _ in range(rows)], rows=rows, cols=cols)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, IntegerMatrix)
@@ -218,13 +214,6 @@ class IntegerMatrix:
             for i in range(self.rows)
         ]
         return IntegerMatrix(prod, rows=self.rows, cols=other.cols)
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            rows=self.cols,
-            cols=self.rows,
-        )
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))

@@ -162,9 +162,6 @@ class CyclotomicNumber:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
-
     # -- arithmetic
 
     def _check(self, other: "CyclotomicNumber | Fraction | int") -> "CyclotomicNumber":
@@ -317,9 +314,6 @@ class TorsionCharacter:
         if len(vector) != len(self.exponents):
             raise CharacterDomainError("vector length does not match character rank")
         return sum(e * v for e, v in zip(self.exponents, vector)) % self.modulus
-
-    def value_on(self, vector: Sequence[int]) -> CyclotomicNumber:
-        return CyclotomicNumber.root_power(self.modulus, self.pairing(vector))
 
     def to_json_dict(self) -> dict:
         return {"modulus": self.modulus, "exponents": list(self.exponents)}

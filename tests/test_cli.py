@@ -162,16 +162,16 @@ def test_cover_b1_agreement(capsys, genus2_file):
     assert "routes agree: yes" in out
 
 
-def test_cover_b1_mismatch_is_fatal(capsys, genus2_file):
+def test_cover_b1_mismatch_is_fatal(capsys, genus2_file, monkeypatch):
+    monkeypatch.setattr("slopekit.cli.subgroup_b1", lambda presentation, alpha: 9)
     code, out, err = run_cli(
-        capsys,
-        "cover-b1", "--input", genus2_file, "--cyclic", "3", "--weights", "1,0,0,0",
-        "--max-order", "2",
+        capsys, "cover-b1", "--input", genus2_file, "--cyclic", "3", "--weights", "1,0,0,0"
     )
     assert code == 1
-    assert "routes agree: NO" in out
+    assert "hironaka b1: 8" in out and "routes agree: NO" in out
     error = json.loads(err)
-    assert "scan bound 2 is below the deck group exponent 3" in error["error"]
+    assert error["module"] == "cover-b1"
+    assert "routes disagree (8 vs 9)" in error["error"] and "indicates a bug" in error["error"]
 
 
 def test_cover_b1_epimorphism_file(capsys, genus2_file, tmp_path):
@@ -195,12 +195,6 @@ def test_invariants_subcommand(capsys):
     code, out, _ = run_cli(capsys, "invariants", "--d", "2", "--k", "1", "--format", "json")
     data = json.loads(out)
     assert data["slope"] == "90/11" and data["geography_ok"] is True
-
-
-def test_invariants_rejects_unknown_profile(capsys):
-    code, _, err = run_cli(capsys, "invariants", "--d", "1", "--k", "1", "--input", "other")
-    assert code == 1
-    assert "cartwright-steger" in json.loads(err)["error"]
 
 
 def test_density_certificate_csv(capsys):
@@ -266,10 +260,14 @@ def test_cli_import_loads_no_thread_pool():
     assert result.stdout.strip() == "False"
 
 
-def test_missing_input_file(capsys):
-    code, _, err = run_cli(capsys, "abelianize", "--input", "/nonexistent/file.txt")
-    assert code == 1
-    assert json.loads(err)["type"] == "FileNotFoundError"
+def test_missing_input_file(capsys, genus2_file):
+    for argv in (
+        ["abelianize", "--input", "/nonexistent/file.txt"],
+        ["cover-b1", "--input", genus2_file, "--epimorphism", ""],
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert json.loads(err)["type"] == "FileNotFoundError"
 
 
 def assert_single_json_error(err, kind, fragment):
@@ -313,9 +311,28 @@ def test_epimorphism_without_factors_is_an_error(capsys, genus2_file, tmp_path):
 
 
 def test_usage_errors_exit_2(capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        main(["density", "--epsilon", "1/4"])  # neither target nor denominator
-    assert exit_info.value.code == 2
-    with pytest.raises(SystemExit) as exit_info:
-        main(["cover-b1", "--input", "x.txt"])  # no epimorphism data
-    assert exit_info.value.code == 2
+    for argv in (
+        ["density", "--epsilon", "1/4"],  # neither target nor denominator
+        ["cover-b1", "--input", "x.txt"],  # no epimorphism data
+        ["cover-b1", "--input", "x.txt", "--cyclic", "3", "--max-order", "3"],
+        ["invariants", "--d", "1", "--k", "1", "--input", "other"],
+        ["density", "--epsilon", "1/4", "--max-denominator", "8", "--input", "other"],
+        ["cover-b1", "--input", "x.txt", "--cyclic", "3", "--epimorphism", "f"],
+        ["density", "--epsilon", "1/4", "--target", "1/2", "--max-denominator", "8"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--d", "1", "--k", "1", "--out"],
+        ["density", "--epsilon", "1/4", "--max-denominator", "8", "--plot"],
+    ],
+)
+def test_output_path_errors_are_json(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv, str(tmp_path))
+    assert code == 1 and out == ""
+    assert_single_json_error(err, "IsADirectoryError", str(tmp_path))
