@@ -197,6 +197,13 @@ def test_invariants_subcommand(capsys):
     assert data["slope"] == "90/11" and data["geography_ok"] is True
 
 
+def test_invariants_rejects_unknown_profile(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["invariants", "--d", "1", "--k", "1", "--input", "other"])
+    assert exit_info.value.code == 2
+    assert "--input" in capsys.readouterr().err
+
+
 def test_density_certificate_csv(capsys):
     code, out, _ = run_cli(capsys, "density", "--epsilon", "1/4", "--max-denominator", "8")
     assert code == 0
@@ -315,7 +322,6 @@ def test_usage_errors_exit_2(capsys):
         ["density", "--epsilon", "1/4"],  # neither target nor denominator
         ["cover-b1", "--input", "x.txt"],  # no epimorphism data
         ["cover-b1", "--input", "x.txt", "--cyclic", "3", "--max-order", "3"],
-        ["invariants", "--d", "1", "--k", "1", "--input", "other"],
         ["density", "--epsilon", "1/4", "--max-denominator", "8", "--input", "other"],
         ["cover-b1", "--input", "x.txt", "--cyclic", "3", "--epimorphism", "f"],
         ["density", "--epsilon", "1/4", "--target", "1/2", "--max-denominator", "8"],
