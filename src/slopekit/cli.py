@@ -429,7 +429,11 @@ def _fail(module: str, message: str, kind: str = "SlopekitError") -> None:
 
 
 def _provenance(exc: BaseException) -> str:
-    module = type(exc).__module__.rsplit(".", 1)[-1]
+    """The module of the innermost traceback frame, where exc was raised."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    module = tb.tb_frame.f_globals.get("__name__", "cli").rsplit(".", 1)[-1]
     return "cli" if module == "__main__" else module
 
 
@@ -512,6 +516,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.subcommand == "scan" and args.max_order < 1:
         parser.error("--max-order must be >= 1")
+    if args.subcommand == "cover-b1" and args.epimorphism is not None and args.weights is not None:
+        parser.error("argument --weights: not allowed with argument --epimorphism")
     try:
         for name, convert in _CONVERTERS.items():
             if getattr(args, name, None) is not None:

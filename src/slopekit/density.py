@@ -11,8 +11,9 @@ the family stays of Albanese dimension one.  The achieved slope is
     9 - k (g_F - 1) / (2 d + k (g_F - 1)),
 
 and the convergence gap collapses to p / (q * (n e q (g_F - 1) + 1)), which
-is O(1/n).  A density certificate instantiates one convergent family per
-Farey target of bounded denominator and checks, in exact rational
+is O(1/n), so the first n within epsilon is solved in closed form and checked
+exactly at n and n - 1.  A density certificate instantiates one convergent
+family per Farey target of bounded denominator and checks, in exact rational
 arithmetic, that the achieved slopes leave no point of [8, 9] farther than
 epsilon away.  No floating point enters any comparison.
 """
@@ -37,7 +38,7 @@ class NetInfeasibleError(SlopekitError):
     """The Farey targets of the requested order cannot form the needed net."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TargetSlope:
     """A rational target 9 - p/q in (8, 9); stored reduced."""
 
@@ -52,12 +53,8 @@ class TargetSlope:
         object.__setattr__(self, "q", self.q // g)
 
     @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
-    @property
     def value(self) -> Fraction:
-        return 9 - self.fraction
+        return Fraction(9 * self.q - self.p, self.q)
 
 
 def farey_fractions(max_denominator: int) -> Iterator[Fraction]:
@@ -76,6 +73,13 @@ def farey_fractions(max_denominator: int) -> Iterator[Fraction]:
         a, b, c, d = c, d, k * c - a, k * d - b
 
 
+def _check_family(exponent: int, fiber_genus: int) -> None:
+    if exponent < 1:
+        raise SlopekitError("exponent must be >= 1")
+    if fiber_genus < 2:
+        raise SlopekitError("fiber genus must be >= 2")
+
+
 def sequence_params(
     target: TargetSlope, exponent: int, fiber_genus: int, n: int
 ) -> FamilyParams:
@@ -84,10 +88,7 @@ def sequence_params(
     >>> sequence_params(TargetSlope(1, 2), 1, 19, 1)
     FamilyParams(d=19, k=2, cover_exponent=1)
     """
-    if exponent < 1:
-        raise SlopekitError("exponent must be >= 1")
-    if fiber_genus < 2:
-        raise SlopekitError("fiber genus must be >= 2")
+    _check_family(exponent, fiber_genus)
     if n < 1:
         raise SlopekitError("sequence index must be >= 1")
     d = n * exponent * (target.q - target.p) * (fiber_genus - 1) + 1
@@ -105,10 +106,10 @@ def family_slope(params: FamilyParams, fiber_genus: int) -> Fraction:
     if fiber_genus < 2:
         raise SlopekitError("fiber genus must be >= 2")
     weight = params.k * (fiber_genus - 1)
-    return 9 - Fraction(weight, 2 * params.d + weight)
+    return Fraction(18 * params.d + 8 * weight, 2 * params.d + weight)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConvergenceReport:
     """First family member within epsilon of its target, with the exact gap."""
 
@@ -122,28 +123,27 @@ class ConvergenceReport:
 def convergence_report(
     target: TargetSlope, exponent: int, fiber_genus: int, epsilon: Fraction | int | str
 ) -> ConvergenceReport:
-    """Walk the sequence until the slope is within epsilon of 9 - p/q.
+    """First family member within epsilon = a/b of 9 - p/q, in closed form.
 
-    Comparison is exact rational; the O(1/n) gap guarantees termination, and
-    strict monotone decrease of the gap is verified along the way.
+    The gap p / (q (n e q (g_F - 1) + 1)) is at most epsilon exactly when
+    n >= (p b - a q) / (a q e q (g_F - 1)), so n* is an integer ceiling (at
+    least 1).  sequence_params and family_slope then verify n* exactly: the
+    gap is at most epsilon at n* and above it at n* - 1, else SlopekitError.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise SlopekitError("epsilon must be positive")
-    previous_gap: Fraction | None = None
-    n = 1
-    while True:
-        params = sequence_params(target, exponent, fiber_genus, n)
+    _check_family(exponent, fiber_genus)
+    p, q, a, b = target.p, target.q, epsilon.numerator, epsilon.denominator
+    n = max(1, -((a * q - p * b) // (a * q * exponent * q * (fiber_genus - 1))))
+    value = target.value
+    for m in range(max(n - 1, 1), n + 1):
+        params = sequence_params(target, exponent, fiber_genus, m)
         achieved = family_slope(params, fiber_genus)
-        gap = abs(achieved - target.value)
-        if previous_gap is not None and gap >= previous_gap:
-            raise SlopekitError(
-                f"gap failed to decrease at n={n}: {gap} after {previous_gap}"
-            )
-        if gap <= epsilon:
-            return ConvergenceReport(target, n, params, achieved, gap)
-        previous_gap = gap
-        n += 1
+        gap = abs(achieved - value)
+        if (gap <= epsilon) != (m == n):
+            raise SlopekitError(f"closed form n={n} is not the first n with gap <= {epsilon}")
+    return ConvergenceReport(target, n, params, achieved, gap)
 
 
 @dataclass(frozen=True)
@@ -205,7 +205,7 @@ def density_certificate(
         raise SlopekitError("max denominator must be >= 1")
     half = epsilon / 2
     targets = [TargetSlope(f.numerator, f.denominator) for f in farey_fractions(max_denominator)]
-    targets.sort(key=lambda t: t.value)
+    targets.reverse()  # 9 - p/q ascends as p/q descends: now in value order
     if not targets:
         raise NetInfeasibleError(
             f"no reduced p/q with 0 < p < q <= {max_denominator}; "
@@ -245,21 +245,11 @@ CSV_HEADER = [
 def certificate_rows(entries: Sequence[ConvergenceReport]) -> list[list[int]]:
     rows = []
     for entry in entries:
-        target_value = entry.target.value
-        rows.append([
-            entry.target.p,
-            entry.target.q,
-            target_value.numerator,
-            target_value.denominator,
-            entry.params.cover_exponent or 1,
-            entry.n,
-            entry.params.d,
-            entry.params.k,
-            entry.achieved.numerator,
-            entry.achieved.denominator,
-            entry.gap.numerator,
-            entry.gap.denominator,
-        ])
+        value, params = entry.target.value, entry.params
+        rows.append([entry.target.p, entry.target.q, value.numerator, value.denominator,
+                     params.cover_exponent or 1, entry.n, params.d, params.k,
+                     entry.achieved.numerator, entry.achieved.denominator,
+                     entry.gap.numerator, entry.gap.denominator])
     return rows
 
 

@@ -325,10 +325,26 @@ def test_usage_errors_exit_2(capsys):
         ["density", "--epsilon", "1/4", "--max-denominator", "8", "--input", "other"],
         ["cover-b1", "--input", "x.txt", "--cyclic", "3", "--epimorphism", "f"],
         ["density", "--epsilon", "1/4", "--target", "1/2", "--max-denominator", "8"],
+        ["cover-b1", "--input", "x.txt", "--epimorphism", "f", "--weights", "9,9"],
     ):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2, argv
+
+
+@pytest.mark.parametrize(
+    "argv, module",
+    [
+        (["density", "--epsilon", "1/10", "--target", "1/2", "--exponent", "0"], "density"),
+        (["invariants", "--d", "0", "--k", "1"], "surface_invariants"),
+        (["cover-b1", "--input", "x.txt", "--cyclic", "3", "--weights", "1,x"], "cli"),
+    ],
+)
+def test_error_names_the_raising_module(capsys, argv, module):
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (1, 2) and out == ""
+    error = json.loads(err)
+    assert error["type"] == "SlopekitError" and error["module"] == module
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,13 @@
 """Slope sequences, convergence, and density certificates."""
 
 import io
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from slopekit.cli import main
 from slopekit.density import (
     CSV_HEADER,
     DensityCertificate,
@@ -22,6 +24,7 @@ from slopekit.density import (
     write_certificate_csv,
     write_slope_svg,
 )
+from slopekit.errors import SlopekitError
 from slopekit.surface_invariants import (
     FamilyParams,
     branched_double_cover_invariants,
@@ -117,6 +120,102 @@ def test_gap_closed_form_general():
         g_f = rng.randint(2, 30)
         gap = abs(family_slope(sequence_params(t, e, g_f, n), g_f) - t.value)
         assert gap == Fraction(t.p, t.q * (n * e * t.q * (g_f - 1) + 1))
+
+
+def _gap(target, exponent, fiber_genus, n):
+    params = sequence_params(target, exponent, fiber_genus, n)
+    return abs(family_slope(params, fiber_genus) - target.value)
+
+
+def _first_n_by_walk(target, exponent, fiber_genus, epsilon):
+    n = 1
+    while _gap(target, exponent, fiber_genus, n) > epsilon:
+        n += 1
+    return n
+
+
+def test_closed_form_matches_walk():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def case(draw):
+        q = draw(st.integers(2, 40))
+        target = TargetSlope(draw(st.integers(1, q - 1)), q)
+        e, g_f = draw(st.integers(1, 6)), draw(st.integers(2, 30))
+        n = draw(st.integers(1, 200))
+        gap_n = _gap(target, e, g_f, n)
+        kind = draw(st.sampled_from(("exact", "between", "above_gap_1", "any")))
+        if kind == "exact":  # the comparison is <=, so n itself is the answer
+            return target, e, g_f, gap_n, n
+        if kind == "between":  # strictly between gap_n and gap_{n-1}
+            upper = _gap(target, e, g_f, n - 1) if n > 1 else 2 * gap_n
+            share = Fraction(draw(st.integers(1, 999)), 1000)
+            return target, e, g_f, gap_n + share * (upper - gap_n), n
+        if kind == "above_gap_1":
+            return target, e, g_f, _gap(target, e, g_f, 1) * draw(st.integers(1, 10**6)), 1
+        epsilon = draw(st.fractions(Fraction(1, 5000), 2, max_denominator=10**6))
+        return target, e, g_f, epsilon, None
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(case())
+    def check(args):
+        target, e, g_f, epsilon, expected_n = args
+        report = convergence_report(target, e, g_f, epsilon)
+        assert report.n == _first_n_by_walk(target, e, g_f, epsilon)
+        assert expected_n is None or report.n == expected_n
+        assert report.gap == _gap(target, e, g_f, report.n) <= epsilon
+        assert report.params == sequence_params(target, e, g_f, report.n)
+
+    check()
+
+
+def test_closed_form_at_one_billionth(capsys):
+    # The walk would take 13,888,889 steps here.
+    epsilon = Fraction(1, 10**9)
+    report = convergence_report(TargetSlope(1, 2), 1, 19, epsilon)
+    assert report.n == 13_888_889
+    assert report.gap == Fraction(1, 72 * report.n + 2) <= epsilon
+    assert _gap(TargetSlope(1, 2), 1, 19, report.n - 1) > epsilon
+    code = main(["density", "--epsilon", "1/1000000000", "--target", "1/2", "--format", "json"])
+    entry = json.loads(capsys.readouterr().out)["entries"][0]
+    assert code == 0
+    assert entry["n"] == 13_888_889 and entry["gap"] == f"1/{72 * 13_888_889 + 2}"
+
+
+def test_closed_form_validates_before_dividing():
+    for exponent, fiber_genus, epsilon, fragment in (
+        (0, 19, Fraction(1, 10), "exponent"),
+        (-1, 19, Fraction(1, 10), "exponent"),
+        (1, 1, Fraction(1, 10), "fiber genus"),
+        (1, 19, 0, "epsilon"),
+        (1, 19, Fraction(-1, 10), "epsilon"),
+    ):
+        with pytest.raises(SlopekitError, match=fragment):
+            convergence_report(TargetSlope(1, 2), exponent, fiber_genus, epsilon)
+
+
+@pytest.mark.parametrize("exponent", ["0", "-1"])
+@pytest.mark.parametrize("goal", [["--target", "1/2"], ["--max-denominator", "8"]])
+def test_bad_exponent_is_one_json_error(capsys, exponent, goal):
+    code = main(["density", "--epsilon", "1/4", *goal, "--exponent", exponent])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "exponent must be >= 1", "module": "density", "type": "SlopekitError"
+    }
+
+
+@pytest.mark.parametrize("fake_gap", [
+    lambda d: Fraction(1, d),  # gap at n* exceeds epsilon
+    lambda d: Fraction(0),  # gap at n* - 1 is already within epsilon
+])
+def test_closed_form_check_rejects_a_wrong_slope(monkeypatch, fake_gap):
+    monkeypatch.setattr(
+        "slopekit.density.family_slope", lambda params, g: Fraction(17, 2) + fake_gap(params.d)
+    )
+    with pytest.raises(SlopekitError, match="closed form n=14"):
+        convergence_report(TargetSlope(1, 2), 1, 19, Fraction(1, 1000))
 
 
 def test_certificate_quarter_eighth():
