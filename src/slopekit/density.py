@@ -174,13 +174,25 @@ class DensityCertificate:
             )
 
 
+def _widest_gap(values: Sequence[Fraction]) -> tuple[Fraction, tuple[Fraction, Fraction]]:
+    """Covering radius of sorted points over [8, 9] and the first gap reaching it.
+
+    The 8-end is checked first, then the 9-end, then the interior gaps; a
+    later gap replaces the widest only when strictly wider.
+    """
+    radius, gap = values[0] - 8, (Fraction(8), values[0])
+    if 9 - values[-1] > radius:
+        radius, gap = 9 - values[-1], (values[-1], Fraction(9))
+    for left, right in zip(values, values[1:]):
+        half_width = (right - left) / 2
+        if half_width > radius:
+            radius, gap = half_width, (left, right)
+    return radius, gap
+
+
 def covering_radius(certificate: DensityCertificate) -> Fraction:
     """Exact sup over [8, 9] of the distance to the achieved slopes."""
-    achieved = sorted(entry.achieved for entry in certificate.entries)
-    radius = max(achieved[0] - 8, 9 - achieved[-1])
-    for left, right in zip(achieved, achieved[1:]):
-        radius = max(radius, (right - left) / 2)
-    return radius
+    return _widest_gap(sorted(entry.achieved for entry in certificate.entries))[0]
 
 
 def density_certificate(
@@ -211,16 +223,7 @@ def density_certificate(
             f"no reduced p/q with 0 < p < q <= {max_denominator}; "
             "largest uncovered gap is all of (8, 9), radius 1/2"
         )
-    values = [t.value for t in targets]
-    worst_radius = values[0] - 8
-    worst_gap = (Fraction(8), values[0])
-    if 9 - values[-1] > worst_radius:
-        worst_radius = 9 - values[-1]
-        worst_gap = (values[-1], Fraction(9))
-    for left, right in zip(values, values[1:]):
-        if (right - left) / 2 > worst_radius:
-            worst_radius = (right - left) / 2
-            worst_gap = (left, right)
+    worst_radius, worst_gap = _widest_gap([t.value for t in targets])
     if worst_radius > half:
         raise NetInfeasibleError(
             f"targets with q <= {max_denominator} are not an epsilon/2-net: "

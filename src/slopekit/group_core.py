@@ -188,10 +188,6 @@ class IntegerMatrix:
             raise ValueError("inconsistent matrix dimensions")
         self.entries = data
 
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], rows=n, cols=n)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, IntegerMatrix)
@@ -217,30 +213,6 @@ class IntegerMatrix:
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
-
-    def determinant(self) -> int:
-        """Fraction-free (Bareiss) determinant; square matrices only."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if pivot is None:
-                    return 0
-                a[k], a[pivot] = a[pivot], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]

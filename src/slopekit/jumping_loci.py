@@ -6,10 +6,9 @@ twisted first cohomology h^1(G; C_xi) is computed from the presentation
 2-complex: for nontrivial xi it equals g - 1 - rank A(xi), where A(xi) is the
 Alexander matrix of Fox derivatives evaluated at xi.  Every Fox derivative
 at xi lies in the ring Z[zeta_m] = Z[z]/(Phi_m(z)), stored as its integer
-residue vector; ranks over the field Q(zeta_m) come from fraction-free
-Gaussian elimination, which stays in Z[zeta_m].  Rational coefficients
-appear only when a caller supplies them.  There is no floating point and no
-tolerance anywhere.
+residue vector of ints; ranks over the field Q(zeta_m) come from
+fraction-free Gaussian elimination, which stays in Z[zeta_m].  There is no
+floating point, no rational arithmetic and no tolerance anywhere.
 
 Scanning all characters of order up to a bound N yields the finite sets
 
@@ -34,15 +33,16 @@ exponent attaches an explicit warning to the result.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .covers import AbelianEpimorphism
 from .errors import SlopekitError
 from .group_core import (
+    FreeAbelianization,
     GroupPresentation,
     LaurentPolynomial,
     Word,
@@ -55,7 +55,7 @@ class CharacterDomainError(SlopekitError):
 
 
 # ---------------------------------------------------------------------------
-# Cyclotomic arithmetic
+# Cyclotomic integers
 
 
 @lru_cache(maxsize=None)
@@ -90,35 +90,22 @@ def _exact_poly_div(num: Sequence[int], den: Sequence[int]) -> list[int]:
     return quot
 
 
-def _exact(value: Fraction | int) -> Fraction | int:
-    """A rational as an int when it is integral, else as a Fraction."""
-    if type(value) is int:
-        return value
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
-
-
 class CyclotomicNumber:
-    """Element of the m-th cyclotomic field Q(zeta_m) = Q[z]/(Phi_m).
+    """Element of the ring of cyclotomic integers Z[zeta_m] = Z[z]/(Phi_m).
 
-    Stored as the canonical residue mod Phi_m: a coefficient vector of
-    length phi(m) = deg Phi_m.  Integral coefficients are Python ints, so
-    elements of the ring of integers Z[zeta_m] - every Alexander matrix
-    entry - never touch Fraction; a coefficient is a Fraction only when it
-    is a non-integral rational, which only a caller can supply.  Since
-    ``3 == Fraction(3)``, ``hash(3) == hash(Fraction(3))`` and
-    ``str(3) == str(Fraction(3))``, equality, hashing and rendering do not
-    depend on how an integral value was given.  All arithmetic is exact;
-    zero testing is decidable by inspection.
+    Stored as the canonical residue mod Phi_m: a tuple of phi(m) = deg Phi_m
+    ints, which no method changes.  Every Alexander matrix entry lies in this
+    ring and cyclotomic_rank never divides, so the constructor takes ints
+    only.  Zero testing is decidable by inspection.
     """
 
     __slots__ = ("modulus", "coeffs")
 
-    def __init__(self, modulus: int, coeffs: Iterable[Fraction | int]):
+    def __init__(self, modulus: int, coeffs: Iterable[int]):
         phi = len(cyclotomic_polynomial(modulus)) - 1
-        vec = [_exact(c) for c in coeffs]
+        vec = [operator.index(c) for c in coeffs]
         if len(vec) > phi:
-            vec = [_exact(c) for c in _reduce_mod_cyclotomic(modulus, vec)]
+            vec = _reduce_mod_cyclotomic(modulus, vec)
         vec += [0] * (phi - len(vec))
         self.modulus = modulus
         self.coeffs = tuple(vec)
@@ -134,21 +121,12 @@ class CyclotomicNumber:
         return number
 
     @classmethod
-    def zero(cls, modulus: int) -> "CyclotomicNumber":
-        return cls(modulus, ())
-
-    @classmethod
-    def from_rational(cls, modulus: int, value: Fraction | int) -> "CyclotomicNumber":
-        return cls(modulus, (value,))
-
-    @classmethod
-    def root_power(cls, modulus: int, power: int) -> "CyclotomicNumber":
-        """zeta_m ** power, reduced to the canonical residue."""
-        return _root_power(modulus, power % modulus)
-
-    @classmethod
     def from_root_powers(cls, modulus: int, powers: Mapping[int, int]) -> "CyclotomicNumber":
-        """Integer combination sum(coeff * zeta_m**power)."""
+        """Integer combination sum(coeff * zeta_m**power).
+
+        >>> CyclotomicNumber.from_root_powers(6, {0: 1, 1: -1, 2: 1}).is_zero()
+        True
+        """
         vec = [0] * modulus
         for power, coeff in powers.items():
             vec[power % modulus] += coeff
@@ -162,44 +140,10 @@ class CyclotomicNumber:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    # -- arithmetic
-
-    def _check(self, other: "CyclotomicNumber | Fraction | int") -> "CyclotomicNumber":
-        if isinstance(other, (int, Fraction)):
-            return CyclotomicNumber.from_rational(self.modulus, other)
-        if other.modulus != self.modulus:
-            raise ValueError("cyclotomic moduli differ")
-        return other
-
-    def __add__(self, other: "CyclotomicNumber | int") -> "CyclotomicNumber":
-        other = self._check(other)
-        return CyclotomicNumber(self.modulus, (a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "CyclotomicNumber":
-        return CyclotomicNumber(self.modulus, (-a for a in self.coeffs))
-
-    def __sub__(self, other: "CyclotomicNumber | int") -> "CyclotomicNumber":
-        return self + (-self._check(other))
-
-    def __rsub__(self, other: int) -> "CyclotomicNumber":
-        return self._check(other) - self
-
-    def __mul__(self, other: "CyclotomicNumber | int") -> "CyclotomicNumber":
-        other = self._check(other)
-        return CyclotomicNumber(self.modulus, _product(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = CyclotomicNumber.from_rational(self.modulus, other)
-        return (
-            isinstance(other, CyclotomicNumber)
-            and self.modulus == other.modulus
-            and self.coeffs == other.coeffs
-        )
+        if not isinstance(other, CyclotomicNumber):
+            return NotImplemented
+        return self.modulus == other.modulus and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash((self.modulus, self.coeffs))
@@ -225,7 +169,7 @@ class CyclotomicNumber:
         return {"modulus": self.modulus, "coefficients": [str(c) for c in self.coeffs]}
 
 
-def _product(a: Sequence[Fraction | int], b: Sequence[Fraction | int]) -> list[Fraction | int]:
+def _product(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Unreduced product of two coefficient vectors (ascending powers of z)."""
     out = [0] * (len(a) + len(b) - 1 or 1)
     for i, ai in enumerate(a):
@@ -244,7 +188,7 @@ def _reduction_terms(modulus: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return deg, tuple((k - deg, a) for k, a in enumerate(phi_poly[:deg]) if a)
 
 
-def _reduce_mod_cyclotomic(modulus: int, vec: list[Fraction | int]) -> list[Fraction | int]:
+def _reduce_mod_cyclotomic(modulus: int, vec: list[int]) -> list[int]:
     """Residue of a coefficient vector mod Phi_m (monic), reducing in place."""
     deg, terms = _reduction_terms(modulus)
     for i in range(len(vec) - 1, deg - 1, -1):
@@ -254,13 +198,6 @@ def _reduce_mod_cyclotomic(modulus: int, vec: list[Fraction | int]) -> list[Frac
             for offset, a in terms:
                 vec[i + offset] -= c * a
     return vec[:deg]
-
-
-@lru_cache(maxsize=None)
-def _root_power(modulus: int, power: int) -> CyclotomicNumber:
-    vec = [0] * (power + 1)
-    vec[power] = 1
-    return CyclotomicNumber(modulus, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +264,16 @@ class TorsionCharacter:
 # Evaluation of the Alexander matrix at a character
 
 
-def _character_shift_table(
+def _checked_free_abelianization(
     presentation: GroupPresentation, character: TorsionCharacter
-) -> list[int]:
+) -> FreeAbelianization:
+    """The free abelianization, after checking the character's rank against it."""
     fa = free_abelianization(presentation)
     if character.rank != fa.rank:
         raise CharacterDomainError(
             f"character has rank {character.rank}, free abelianization has rank {fa.rank}"
         )
-    return [character.pairing(img) for img in fa.generator_images]
+    return fa
 
 
 def _fox_row_at_character(
@@ -377,7 +315,8 @@ def evaluate_alexander_matrix(
     the trivial character this returns the integer exponent matrix,
     relators as rows.
     """
-    shifts = _character_shift_table(presentation, character)
+    fa = _checked_free_abelianization(presentation, character)
+    shifts = [character.pairing(img) for img in fa.generator_images]
     return [
         _fox_row_at_character(rel, shifts, presentation.generator_count, character.modulus)
         for rel in presentation.relators
@@ -396,12 +335,12 @@ def evaluate_laurent(poly: LaurentPolynomial, character: TorsionCharacter) -> Cy
 
 
 def cyclotomic_rank(rows: Sequence[Sequence[CyclotomicNumber]]) -> int:
-    """Rank over the cyclotomic field by fraction-free Gaussian elimination.
+    """Rank over the field Q(zeta_m) of a matrix over Z[zeta_m].
 
-    Elimination runs on the coefficient vectors themselves: the pivot step
-    replaces row_i by p * row_i - q * row_pivot with p, q nonzero, which
-    never divides, so rows in Z[zeta_m] stay integral and no Fraction is
-    built unless a caller supplied one.
+    Gaussian elimination runs fraction-free on the coefficient vectors
+    themselves: the pivot step replaces row_i by p * row_i - q * row_pivot
+    with p, q nonzero, which never divides, so every row stays in Z[zeta_m]
+    with int coefficients.
     """
     work = [[x.coeffs for x in row] for row in rows]
     if not work:
@@ -444,13 +383,8 @@ def twisted_h1(presentation: GroupPresentation, character: TorsionCharacter) -> 
 
     with the rank taken exactly over the cyclotomic field.
     """
-    fa = free_abelianization(presentation)
-    if character.rank != fa.rank:
-        raise CharacterDomainError(
-            f"character has rank {character.rank}, free abelianization has rank {fa.rank}"
-        )
     if character.is_trivial():
-        return fa.rank
+        return _checked_free_abelianization(presentation, character).rank
     rows = evaluate_alexander_matrix(presentation, character)
     return presentation.generator_count - 1 - cyclotomic_rank(rows)
 
@@ -562,13 +496,11 @@ def cartwright_steger_report() -> JumpingLocusReport:
     return JumpingLocusReport(scan_bound=None, b1=2, entries=(), exponent=1)
 
 
-def _enumerate_characters(rank: int, max_order: int) -> list[TorsionCharacter]:
-    chars: list[TorsionCharacter] = []
+def _enumerate_characters(rank: int, max_order: int) -> Iterator[TorsionCharacter]:
     for m in range(2, max_order + 1):
         for exps in itertools.product(range(m), repeat=rank):
             if exps and gcd(m, *exps) == 1:
-                chars.append(TorsionCharacter(m, exps))
-    return chars
+                yield TorsionCharacter(m, exps)
 
 
 def scan_jumping_loci(presentation: GroupPresentation, max_order: int) -> JumpingLocusReport:

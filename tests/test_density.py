@@ -232,7 +232,25 @@ def test_certificate_infeasible():
     assert "(8, 9)" in str(err.value)
     with pytest.raises(NetInfeasibleError) as err:
         density_certificate(Fraction(1, 100), 1, 19, 3)
-    assert "covering radius" in str(err.value)
+    # both end gaps have radius 1/3; the 8-end is named
+    assert str(err.value) == (
+        "targets with q <= 3 are not an epsilon/2-net: largest uncovered gap is "
+        "(8, 25/3) with covering radius 1/3 > 1/200"
+    )
+
+
+def test_widest_gap_names_the_first_widest():
+    from slopekit.density import _widest_gap
+
+    # the 8-end, the interior gap and the 9-end all have radius 1/4
+    values = [Fraction(33, 4), Fraction(35, 4)]
+    assert _widest_gap(values) == (Fraction(1, 4), (Fraction(8), Fraction(33, 4)))
+    assert _widest_gap(values[1:]) == (Fraction(3, 4), (Fraction(8), Fraction(35, 4)))
+    assert _widest_gap([Fraction(8), Fraction(17, 2)]) == (
+        Fraction(1, 2), (Fraction(17, 2), Fraction(9)))
+    # interior ties keep the first gap; only a strictly wider one replaces it
+    values = [Fraction(8), Fraction(33, 4), Fraction(17, 2), Fraction(35, 4), Fraction(9)]
+    assert _widest_gap(values) == (Fraction(1, 8), (Fraction(8), Fraction(33, 4)))
 
 
 def test_certificate_tenth_twentieth():

@@ -6,12 +6,13 @@ import pytest
 
 import slopekit.density
 import slopekit.group_core
+import slopekit.jumping_loci
 import slopekit.surface_invariants
 
 
 @pytest.mark.parametrize(
     "module",
-    [slopekit.group_core, slopekit.density, slopekit.surface_invariants],
+    [slopekit.group_core, slopekit.density, slopekit.jumping_loci, slopekit.surface_invariants],
     ids=lambda m: m.__name__,
 )
 def test_module_doctests(module):

@@ -49,52 +49,59 @@ def test_cyclotomic_polynomials():
 
 
 def test_root_of_unity_relations():
-    z = CyclotomicNumber.root_power(6, 1)
-    assert (1 - z + z * z).is_zero()  # zeta_6 is a root of t^2 - t + 1
-    assert CyclotomicNumber.root_power(6, 6) == 1
-    assert CyclotomicNumber.root_power(6, 3) == -1
+    # zeta_6 is a root of Phi_6 = z^2 - z + 1
+    assert CyclotomicNumber.from_root_powers(6, {0: 1, 1: -1, 2: 1}).is_zero()
+    assert CyclotomicNumber.from_root_powers(6, {6: 1}).coeffs == (1, 0)
+    assert CyclotomicNumber.from_root_powers(6, {3: 1}).coeffs == (-1, 0)
     # sum of all 5-th roots of unity vanishes
-    total = CyclotomicNumber.zero(5)
-    for k in range(5):
-        total = total + CyclotomicNumber.root_power(5, k)
-    assert total.is_zero()
+    assert CyclotomicNumber.from_root_powers(5, {k: 1 for k in range(5)}).is_zero()
 
 
 def test_cyclotomic_arithmetic_is_exact():
-    z = CyclotomicNumber.root_power(5, 1)
-    w = 3 - 2 * z + z * z * z
-    assert w - w == CyclotomicNumber.zero(5)
-    assert (w * 1) == w
-    assert CyclotomicNumber(5, [Fraction(1, 2)]) * 2 == 1
+    # 3 - 2 z + z^3 at m = 5, with powers given out of range and repeated
+    w = CyclotomicNumber.from_root_powers(5, {0: 3, 6: -2, -2: 1})
+    assert w.coeffs == (3, -2, 0, 1)
+    assert w == CyclotomicNumber(5, [3, -2, 0, 1])
+    assert hash(w) == hash(CyclotomicNumber(5, [3, -2, 0, 1, 0]))
+    assert w != CyclotomicNumber(10, [3, -2, 0, 1])
+    # equality holds only between two CyclotomicNumbers
+    assert CyclotomicNumber(5, [1]) != 1
+    assert CyclotomicNumber(1, [0]) != 0
+    # z^4 = -(1 + z + z^2 + z^3) mod Phi_5
+    assert CyclotomicNumber(5, [0, 0, 0, 0, 1]).coeffs == (-1, -1, -1, -1)
+    assert str(w) == "3 - 2*z + z^3"
+    assert w.to_json() == {"modulus": 5, "coefficients": ["3", "-2", "0", "1"]}
     with pytest.raises(ValueError):
-        CyclotomicNumber.root_power(4, 1) + CyclotomicNumber.root_power(3, 1)
+        cyclotomic_rank([[CyclotomicNumber(4, [0, 1]), CyclotomicNumber(3, [0, 1])]])
+
+
+def test_constructor_takes_ints_only():
+    with pytest.raises(TypeError):
+        CyclotomicNumber(5, [Fraction(1, 2)])
+    with pytest.raises(TypeError):
+        CyclotomicNumber(5, [1.0])
+    with pytest.raises(TypeError):
+        CyclotomicNumber(5, [Fraction(3)])
 
 
 def test_non_integral_coefficient_arithmetic_and_rank():
-    half = CyclotomicNumber(5, [Fraction(1, 2), 0, Fraction(-3, 4)])
-    z = CyclotomicNumber.root_power(5, 1)
-    assert half.coeffs == (Fraction(1, 2), 0, Fraction(-3, 4), 0)
-    assert (half * 4).coeffs == (2, 0, -3, 0)
-    assert all(type(c) is int for c in (half * 4).coeffs)
-    assert half + half == CyclotomicNumber(5, [1, 0, Fraction(-3, 2)])
-    assert str(half) == "1/2 - 3/4*z^2"
-    assert half.to_json() == {"modulus": 5, "coefficients": ["1/2", "0", "-3/4", "0"]}
+    # Q(zeta_5) coefficients are refused; scaled by 4 into Z[zeta_5], the
+    # former cases keep their ranks
+    with pytest.raises(TypeError):
+        CyclotomicNumber(5, [Fraction(1, 2), 0, Fraction(-3, 4)])
+    w = CyclotomicNumber(5, [2, 0, -3])
+    z = CyclotomicNumber(5, [0, 1])
+    wz = CyclotomicNumber(5, [0, 2, 0, -3])
+    zero = CyclotomicNumber(5, [])
     # the second row is 4 times the first
-    assert cyclotomic_rank([[half, half * z], [4 * half, 4 * half * z]]) == 1
-    assert cyclotomic_rank([[half, z], [z, half]]) == 2
-    assert cyclotomic_rank([[half * 0, CyclotomicNumber.zero(5)]]) == 0
-
-
-@pytest.mark.parametrize("m", [1, 2, 5, 12])
-def test_int_and_fraction_coefficients_agree(m):
-    for k in (-7, -1, 0, 1, 3, 12):
-        as_int = CyclotomicNumber(m, [k])
-        as_fraction = CyclotomicNumber(m, [Fraction(k)])
-        assert as_int == as_fraction
-        assert hash(as_int) == hash(as_fraction)
-        assert str(as_int) == str(as_fraction)
-        assert as_int.to_json() == as_fraction.to_json()
-        assert all(type(c) is int for c in as_fraction.coeffs)
+    four = [CyclotomicNumber(5, [4 * c for c in x.coeffs]) for x in (w, wz)]
+    assert cyclotomic_rank([[w, wz], four]) == 1
+    # determinant (w - z)(w + z) is nonzero, and 1 for the unimodular pair
+    assert cyclotomic_rank([[w, z], [z, w]]) == 2
+    one, one_plus_z2 = CyclotomicNumber(5, [1]), CyclotomicNumber(5, [1, 0, 1])
+    assert cyclotomic_rank([[one, z], [z, one_plus_z2]]) == 2
+    assert cyclotomic_rank([[zero, zero], [zero, zero]]) == 0
+    assert cyclotomic_rank([]) == 0
 
 
 def test_alexander_matrix_entries_are_ints():
@@ -143,7 +150,7 @@ def test_evaluate_examples():
     torus = torus_group()
     rows = evaluate_alexander_matrix(torus, TorsionCharacter(2, (1, 0)))
     assert rows[0][0].is_zero()
-    assert rows[0][1] == -2
+    assert rows[0][1].coeffs == (-2,)
 
     # trivial character gives the integer exponent matrix (relators as rows)
     rows = evaluate_alexander_matrix(trefoil_group(), TorsionCharacter.trivial(1))
@@ -178,6 +185,8 @@ def test_character_rank_mismatch_rejected():
         evaluate_alexander_matrix(torus_group(), TorsionCharacter(2, (1,)))
     with pytest.raises(CharacterDomainError):
         twisted_h1(torus_group(), TorsionCharacter(3, (1, 1, 1)))
+    with pytest.raises(CharacterDomainError, match="character has rank 3"):
+        twisted_h1(torus_group(), TorsionCharacter.trivial(3))
 
 
 # ---------------------------------------------------------------------------
