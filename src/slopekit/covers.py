@@ -14,6 +14,7 @@ jumping-locus computation can be cross-checked.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm, prod
@@ -51,10 +52,13 @@ class AbelianEpimorphism:
     def __post_init__(self) -> None:
         if self.source_rank < 0:
             raise NotAnEpimorphismError("source rank must be nonnegative")
-        factors = tuple(int(n) for n in self.factors)
+        try:
+            factors = tuple(operator.index(n) for n in self.factors)
+            rows = tuple(tuple(operator.index(x) for x in row) for row in self.matrix)
+        except TypeError as exc:
+            raise NotAnEpimorphismError(f"factors and matrix entries must be integers: {exc}") from exc
         if any(n < 1 for n in factors):
             raise NotAnEpimorphismError("factor moduli must be positive")
-        rows = tuple(tuple(int(x) for x in row) for row in self.matrix)
         if len(rows) != len(factors) or any(len(row) != self.source_rank for row in rows):
             raise NotAnEpimorphismError(
                 f"matrix must be {len(factors)} x {self.source_rank} for the given factors"
@@ -94,7 +98,7 @@ class AbelianEpimorphism:
     @classmethod
     def cyclic(cls, order: int, weights: Sequence[int]) -> "AbelianEpimorphism":
         """Shorthand for a cyclic quotient Z^b -> Z_order with given weights."""
-        weights = tuple(int(w) for w in weights)
+        weights = tuple(weights)
         return cls(len(weights), (order,), (weights,))
 
     @property

@@ -4,7 +4,8 @@ Words in a finitely presented group are stored as sequences of signed
 generator indices (``+i`` for the i-th generator, ``-i`` for its inverse,
 indices starting at 1) and are kept freely reduced from the moment they are
 built.  Abelianization is computed from the Smith normal form of the
-generator/relator exponent matrix, over exact integers; the same normal form
+generator/relator exponent matrix, over exact integers, after eliminating
+its unit entries sparsely; the Smith normal form with transforms
 supplies the map onto the maximal free abelian quotient Z^b that underlies
 both the symbolic Alexander matrix (Fox derivatives with letters sent to
 monomials t_1..t_b) and the character evaluations performed elsewhere.
@@ -14,6 +15,7 @@ Everything here is pure and immutable; no floating point is used anywhere.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -348,10 +350,64 @@ class AbelianGroupStructure:
 
 
 def abelianization(presentation: GroupPresentation) -> AbelianGroupStructure:
-    """H1 of the presented group from the Smith form of its exponent matrix."""
-    d, _, _ = smith_normal_form(presentation.exponent_matrix())
-    diag = d.diagonal()
-    rank = sum(1 for x in diag if x)
+    """H1 of the presented group from the Smith form of its exponent matrix.
+
+    Unit pivots are eliminated first on a sparse copy, one row per relator:
+    each is a Tietze move on the abelianized relators, adding one invariant
+    factor 1.  They come off a heap keyed by fill cost (other nonzeros in the
+    pivot's row times those in its column), re-keyed lazily when it grew.
+    The dense Smith form runs only on the remainder, for surface-group
+    covers an empty one.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for i, word in enumerate(presentation.relators):
+        row: dict[int, int] = {}
+        for letter in word:
+            row[abs(letter)] = row.get(abs(letter), 0) + (1 if letter > 0 else -1)
+        rows[i] = row = {j: x for j, x in row.items() if x}
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+
+    def fill(i: int, j: int) -> int:
+        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
+
+    heap = [(fill(i, j), i, j) for i, row in rows.items() for j, x in row.items() if abs(x) == 1]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        cost, i, j = heapq.heappop(heap)
+        if i not in rows or abs(rows[i].get(j, 0)) != 1:
+            continue
+        if fill(i, j) > cost:
+            heapq.heappush(heap, (fill(i, j), i, j))
+            continue
+        pivot_row = rows.pop(i)
+        for l in pivot_row:
+            cols[l].discard(i)
+        # Clear column j with row moves; row i and column j then drop out.
+        for k in cols.pop(j):
+            row = rows[k]
+            q = row.pop(j) * pivot_row[j]
+            for l, x in pivot_row.items():
+                if l == j:
+                    continue
+                y = row.get(l, 0) - q * x
+                if not y:
+                    del row[l]
+                    cols[l].discard(k)
+                    continue
+                if l not in row:
+                    cols[l].add(k)
+                row[l] = y
+                if abs(y) == 1:
+                    heapq.heappush(heap, (fill(k, l), k, l))
+        units += 1
+
+    live = sorted({j for row in rows.values() for j in row})
+    dense = [[row.get(j, 0) for j in live] for row in rows.values() if row]
+    diag = smith_normal_form(IntegerMatrix(dense, rows=len(dense), cols=len(live)))[0].diagonal()
+    rank = units + sum(1 for x in diag if x)
     torsion = tuple(x for x in diag if x > 1)
     return AbelianGroupStructure(presentation.generator_count - rank, torsion)
 

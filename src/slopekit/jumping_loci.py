@@ -218,10 +218,10 @@ class TorsionCharacter:
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        m = int(self.modulus)
+        m = operator.index(self.modulus)
         if m < 1:
             raise CharacterDomainError("character modulus must be positive")
-        exps = tuple(int(e) % m for e in self.exponents)
+        exps = tuple(operator.index(e) % m for e in self.exponents)
         g = gcd(m, *exps) if exps else m
         m //= g
         exps = tuple((e // g) % m for e in exps)
@@ -257,7 +257,7 @@ class TorsionCharacter:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "TorsionCharacter":
-        return cls(int(data["modulus"]), tuple(data["exponents"]))
+        return cls(data["modulus"], tuple(data["exponents"]))
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +408,8 @@ class JumpEntry:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "JumpEntry":
         return cls(
-            TorsionCharacter(int(data["modulus"]), tuple(data["exponents"])),
-            int(data["depth"]),
+            TorsionCharacter(data["modulus"], tuple(data["exponents"])),
+            operator.index(data["depth"]),
         )
 
 
@@ -479,9 +479,9 @@ class JumpingLocusReport:
     def from_json_dict(cls, data: Mapping) -> "JumpingLocusReport":
         return cls(
             data["scan_bound"],
-            int(data["b1"]),
+            operator.index(data["b1"]),
             tuple(JumpEntry.from_json_dict(e) for e in data["entries"]),
-            int(data["exponent"]),
+            operator.index(data["exponent"]),
         )
 
 

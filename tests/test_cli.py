@@ -317,6 +317,30 @@ def test_epimorphism_without_factors_is_an_error(capsys, genus2_file, tmp_path):
     assert "factors" in error["error"]
 
 
+def test_non_integral_epimorphism_is_an_error(capsys, genus2_file, tmp_path):
+    # truncated to 2 and 1, the first file would answer b1 = 18 with exit 0
+    epi_path = tmp_path / "epi.json"
+    for data in (
+        {"factors": [2.7, 4], "matrix": [[1.9, 0, 0, 0], [0, 1, 0, 0]]},
+        {"factors": [2, 4], "matrix": [[1, 0, 0, 0], [0, 1.0, 0, 0]]},
+        {"factors": ["2", 4], "matrix": [[1, 0, 0, 0], [0, 1, 0, 0]]},
+    ):
+        epi_path.write_text(json.dumps(data))
+        code, out, err = run_cli(
+            capsys, "cover-b1", "--input", genus2_file, "--epimorphism", str(epi_path)
+        )
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert error["type"] == "NotAnEpimorphismError" and error["module"] == "covers"
+        assert "integers" in error["error"]
+    epi_path.write_text(json.dumps({"factors": [2, 4], "matrix": [[1, 0, 0, 0], [0, 1, 0, 0]]}))
+    code, out, _ = run_cli(
+        capsys, "cover-b1", "--input", genus2_file, "--epimorphism", str(epi_path)
+    )
+    assert code == 0
+    assert "reidemeister-schreier b1: 18" in out and "routes agree: yes" in out
+
+
 def test_usage_errors_exit_2(capsys):
     for argv in (
         ["density", "--epsilon", "1/4"],  # neither target nor denominator

@@ -11,9 +11,11 @@ from slopekit.covers import (
     reidemeister_schreier,
     subgroup_b1,
 )
+from slopekit import group_core
 from slopekit.group_core import (
     abelianization,
     free_group,
+    smith_normal_form,
     surface_group,
     torus_group,
 )
@@ -149,3 +151,28 @@ def test_noncyclic_deck_group():
         4, (2, 2), ((1, 0, 0, 0), (0, 1, 0, 0))
     )
     assert subgroup_b1(surface_group(2), alpha) == 10
+
+
+@pytest.mark.parametrize(
+    "alpha, b1",
+    [
+        (AbelianEpimorphism.cyclic(1024, (1, 0, 0, 0)), 2050),
+        (AbelianEpimorphism(4, (4, 4, 4, 4), tuple(
+            tuple(1 if i == j else 0 for j in range(4)) for i in range(4))), 514),
+    ],
+    ids=["z1024", "z4^4"],
+)
+def test_large_index_matches_closed_form(alpha, b1, monkeypatch):
+    # b1 = 2(|S|(g-1)+1) on genus 2.  The rewritten exponent matrices are
+    # 3073 x 1024 and 769 x 256, out of reach of the dense Smith form alone;
+    # unit elimination leaves it nothing.
+    shapes = []
+
+    def recording_smith_form(m):
+        shapes.append((m.rows, m.cols))
+        return smith_normal_form(m)
+
+    monkeypatch.setattr(group_core, "smith_normal_form", recording_smith_form)
+    assert b1 == 2 * (alpha.order + 1)
+    assert subgroup_b1(surface_group(2), alpha) == b1
+    assert shapes[-1] == (0, 0)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from slopekit import group_core
 from slopekit.group_core import (
     AbelianGroupStructure,
     GroupPresentation,
@@ -220,6 +221,103 @@ def test_abelianization_fixtures():
     assert abelianization(cyclic_group(5)) == AbelianGroupStructure(0, (5,))
     assert abelianization(free_group(2)) == AbelianGroupStructure(2, ())
     assert abelianization(surface_group(2)) == AbelianGroupStructure(4, ())
+
+
+def presentation_with_exponents(rows, generator_count):
+    """One relator per row, x_j^rows[i][j] in turn: its exponent matrix is
+    the transpose of ``rows``."""
+    return GroupPresentation(generator_count, tuple(
+        tuple(letter for j, x in enumerate(row) for letter in [(j + 1) * (1 if x > 0 else -1)] * abs(x))
+        for row in rows
+    ))
+
+
+def dense_abelianization(presentation):
+    """H1 from the dense Smith form of the whole exponent matrix."""
+    diag = smith_normal_form(presentation.exponent_matrix())[0].diagonal()
+    rank = sum(1 for x in diag if x)
+    return AbelianGroupStructure(
+        presentation.generator_count - rank, tuple(x for x in diag if x > 1))
+
+
+def test_unit_elimination_matches_dense_smith_form(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    @st.composite
+    def sparse_matrix(draw):
+        rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        values = [0, 0, 0, 2, -2, 3, 4, -6]
+        if draw(st.booleans()):  # otherwise no unit entry at all
+            values += [1, -1, 1, -1]
+        entries = [[draw(st.sampled_from(values)) for _ in range(cols)] for _ in range(rows)]
+        if rows and cols and draw(st.booleans()):  # an all-zero row and column
+            zero_row, zero_col = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+            entries[zero_row] = [0] * cols
+            for row in entries:
+                row[zero_col] = 0
+        return entries, cols
+
+    remainders = []
+
+    def recording_smith_form(m):
+        remainders.append(m)
+        return smith_normal_form(m)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(sparse_matrix())
+    def check(case):
+        entries, cols = case
+        presentation = presentation_with_exponents(entries, cols)
+        with monkeypatch.context() as patch:
+            patch.setattr(group_core, "smith_normal_form", recording_smith_form)
+            structure = abelianization(presentation)
+        # every unit entry, including those the elimination creates, is used
+        assert all(abs(x) != 1 for row in remainders[-1].entries for x in row)
+        assert structure == dense_abelianization(presentation)
+        m = presentation.exponent_matrix()
+        assert_snf_contract(m)
+        rank = cols - structure.free_rank
+        assert rank == rational_rank(m.to_lists())
+        expected = [int(x) for x in invariant_factors(sympy.Matrix(m.to_lists())) if x]
+        assert [1] * (rank - len(structure.torsion_coefficients)) + list(
+            structure.torsion_coefficients) == expected
+
+    check()
+
+
+def random_commutator_relator(rng, rank):
+    def word():
+        return [rng.choice((1, -1)) * rng.randint(1, rank) for _ in range(3)]
+
+    def inverse(w):
+        return [-x for x in reversed(w)]
+
+    letters = []
+    for _ in range(2):
+        u, v = word(), word()
+        letters += u + v + inverse(u) + inverse(v)
+    return letters
+
+
+def test_unit_elimination_on_covers_with_torsion():
+    # Z/6 and Z/12 covers of 3-relator rank-4 groups: after the unit pivots
+    # a remainder is left and the cover's H1 has torsion
+    from slopekit.covers import AbelianEpimorphism, reidemeister_schreier
+
+    rng = random.Random(707)
+    torsion_seen = 0
+    for _ in range(8):
+        presentation = GroupPresentation(4, tuple(random_commutator_relator(rng, 4) for _ in range(3)))
+        for order in (6, 12):
+            weights = (1,) + tuple(rng.randrange(order) for _ in range(3))
+            sub = reidemeister_schreier(presentation, AbelianEpimorphism.cyclic(order, weights))
+            structure = abelianization(sub.presentation)
+            assert structure == dense_abelianization(sub.presentation)
+            torsion_seen += bool(structure.torsion_coefficients)
+    assert torsion_seen >= 8
 
 
 def test_free_abelianization_images():

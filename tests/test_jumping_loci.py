@@ -133,6 +133,29 @@ def test_character_canonicalization():
     assert TorsionCharacter.trivial(2) == trivial
 
 
+def test_character_takes_ints_only():
+    # truncation would read each of these as TorsionCharacter(2, (1, 0))
+    with pytest.raises(TypeError):
+        TorsionCharacter(2.5, (1, 0))
+    with pytest.raises(TypeError):
+        TorsionCharacter(2, (1.7, 0))
+    with pytest.raises(TypeError):
+        TorsionCharacter.from_json_dict({"modulus": 2.5, "exponents": [1, 0]})
+    assert TorsionCharacter.from_json_dict({"modulus": 2, "exponents": [1, 0]}) == (
+        TorsionCharacter(2, (1, 0)))
+
+
+def test_jump_entry_json_takes_ints_only():
+    # truncation would load the first as order 6, depth 1
+    for bad in ({"modulus": 6.9, "exponents": [1, 0], "depth": 1.9},
+                {"modulus": 6, "exponents": [1, 0], "depth": 1.9},
+                {"modulus": 6, "exponents": [1.0, 0], "depth": 1}):
+        with pytest.raises(TypeError):
+            JumpEntry.from_json_dict(bad)
+    entry = JumpEntry.from_json_dict({"modulus": 6, "exponents": [1, 0], "depth": 1})
+    assert entry == JumpEntry(TorsionCharacter(6, (1, 0)), 1)
+
+
 def test_character_order_and_conjugate():
     xi = TorsionCharacter(6, (1,))
     assert xi.order == 6
