@@ -384,7 +384,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
         return {
             "p": entry.target.p,
             "q": entry.target.q,
-            "target": f"{entry.target.value.numerator}/{entry.target.value.denominator}",
+            "target": "{}/{}".format(*entry.target.value_pair),
             "e": entry.params.cover_exponent or 1,
             "n": entry.n,
             "d": entry.params.d,
@@ -401,8 +401,9 @@ def _cmd_density(args: argparse.Namespace) -> int:
     elif args.fmt == "text":
         lines = [f"epsilon: {epsilon}", f"entries: {len(entries)}"]
         for entry in entries:
+            value_num, value_den = entry.target.value_pair
             lines.append(
-                f"  target {entry.target.value} (p/q={entry.target.p}/{entry.target.q}) "
+                f"  target {value_num}/{value_den} (p/q={entry.target.p}/{entry.target.q}) "
                 f"n={entry.n} d={entry.params.d} k={entry.params.k} "
                 f"slope={entry.achieved} gap={entry.gap}"
             )

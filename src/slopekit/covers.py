@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm, prod
@@ -244,9 +245,9 @@ def reidemeister_schreier(
     # BFS spanning tree; transversal[c] is a positive word reaching coset c.
     transversal: dict[int, tuple[int, ...]] = {0: ()}
     tree: set[tuple[int, int]] = set()
-    queue = [0]
+    queue = deque([0])
     while queue:
-        c = queue.pop(0)
+        c = queue.popleft()
         for i in range(1, g + 1):
             nxt = perms[i - 1][c]
             if nxt not in transversal:
@@ -291,7 +292,8 @@ def reidemeister_schreier(
         presentation=sub,
         ambient=presentation,
         index=d,
-        transversal=tuple(Word(transversal[c]) for c in range(d)),
+        # Positive words have no cancelling pair, so they are already reduced.
+        transversal=tuple(Word._from_reduced(transversal[c]) for c in range(d)),
     )
 
 

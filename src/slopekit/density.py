@@ -13,9 +13,10 @@ the family stays of Albanese dimension one.  The achieved slope is
 and the convergence gap collapses to p / (q * (n e q (g_F - 1) + 1)), which
 is O(1/n), so the first n within epsilon is solved in closed form and checked
 exactly at n and n - 1.  A density certificate instantiates one convergent
-family per Farey target of bounded denominator and checks, in exact rational
-arithmetic, that the achieved slopes leave no point of [8, 9] farther than
-epsilon away.  No floating point enters any comparison.
+family per Farey target of bounded denominator and checks, by integer
+cross-multiplication of numerators and denominators, that the achieved slopes
+leave no point of [8, 9] farther than epsilon away.  No floating point enters
+any comparison, and a Fraction is built only for a value that gets reported.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import IO, Iterator, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 from .errors import SlopekitError
 from .surface_invariants import FamilyParams
@@ -53,8 +54,24 @@ class TargetSlope:
         object.__setattr__(self, "q", self.q // g)
 
     @property
+    def value_pair(self) -> tuple[int, int]:
+        """The value as (9q - p, q), already reduced: gcd(9q - p, q) = gcd(p, q) = 1."""
+        return 9 * self.q - self.p, self.q
+
+    @property
     def value(self) -> Fraction:
-        return Fraction(9 * self.q - self.p, self.q)
+        return Fraction(*self.value_pair)
+
+
+def _farey_pairs(max_denominator: int) -> Iterator[tuple[int, int]]:
+    """The (numerator, denominator) pairs that farey_fractions yields, in order."""
+    if max_denominator < 1:
+        raise ValueError("max denominator must be >= 1")
+    a, b, c, d = 0, 1, 1, max_denominator
+    while (c, d) != (1, 1):
+        yield c, d
+        k = (max_denominator + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
 
 
 def farey_fractions(max_denominator: int) -> Iterator[Fraction]:
@@ -64,13 +81,7 @@ def farey_fractions(max_denominator: int) -> Iterator[Fraction]:
     >>> [str(f) for f in farey_fractions(4)]
     ['1/4', '1/3', '1/2', '2/3', '3/4']
     """
-    if max_denominator < 1:
-        raise ValueError("max denominator must be >= 1")
-    a, b, c, d = 0, 1, 1, max_denominator
-    while (c, d) != (1, 1):
-        yield Fraction(c, d)
-        k = (max_denominator + b) // d
-        a, b, c, d = c, d, k * c - a, k * d - b
+    return (Fraction(c, d) for c, d in _farey_pairs(max_denominator))
 
 
 def _check_family(exponent: int, fiber_genus: int) -> None:
@@ -129,21 +140,42 @@ def convergence_report(
     n >= (p b - a q) / (a q e q (g_F - 1)), so n* is an integer ceiling (at
     least 1).  sequence_params and family_slope then verify n* exactly: the
     gap is at most epsilon at n* and above it at n* - 1, else SlopekitError.
+    With N/D the achieved slope and v/q the target, gap <= a/b is checked as
+    |N q - v D| b <= a D q.
     """
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
+    if not isinstance(epsilon, Fraction):
+        epsilon = Fraction(epsilon)
+    a, b = epsilon.numerator, epsilon.denominator
+    if a <= 0:
         raise SlopekitError("epsilon must be positive")
     _check_family(exponent, fiber_genus)
-    p, q, a, b = target.p, target.q, epsilon.numerator, epsilon.denominator
+    p, q = target.p, target.q
     n = max(1, -((a * q - p * b) // (a * q * exponent * q * (fiber_genus - 1))))
-    value = target.value
+    value_num = 9 * q - p
     for m in range(max(n - 1, 1), n + 1):
         params = sequence_params(target, exponent, fiber_genus, m)
         achieved = family_slope(params, fiber_genus)
-        gap = abs(achieved - value)
-        if (gap <= epsilon) != (m == n):
+        den = achieved.denominator
+        gap_num = abs(achieved.numerator * q - value_num * den)
+        if (gap_num * b <= a * den * q) != (m == n):
             raise SlopekitError(f"closed form n={n} is not the first n with gap <= {epsilon}")
-    return ConvergenceReport(target, n, params, achieved, gap)
+    return ConvergenceReport(target, n, params, achieved, Fraction(gap_num, den * q))
+
+
+def _exceeds(x: Fraction, bound: Fraction) -> bool:
+    """x > bound, by cross-multiplication (denominators are positive)."""
+    return x.numerator * bound.denominator > bound.numerator * x.denominator
+
+
+def _exact_key(pairs: Sequence[tuple[int, int]]) -> Callable[[tuple[int, int]], int]:
+    """An integer sort key for values num/den (den >= 1) that orders them exactly.
+
+    The key is floor(num L / den) with L = (max den)^2.  It is monotone, and
+    two distinct values a/b != c/d differ by at least 1/(bd) >= 1/L, so
+    their keys differ by at least 1: the key never merges distinct values.
+    """
+    scale = max(den for _, den in pairs) ** 2
+    return lambda pair: pair[0] * scale // pair[1]
 
 
 @dataclass(frozen=True)
@@ -152,7 +184,8 @@ class DensityCertificate:
 
     Entries are sorted by target value.  Construction re-verifies that every
     entry gap is at most epsilon and that the covering radius of the
-    achieved slopes over [8, 9] is at most epsilon.
+    achieved slopes over [8, 9] is at most epsilon.  Every check compares
+    integer numerators and denominators.
     """
 
     epsilon: Fraction
@@ -160,39 +193,58 @@ class DensityCertificate:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
-        entries = tuple(sorted(self.entries, key=lambda e: e.target.value))
-        object.__setattr__(self, "entries", entries)
+        entries = tuple(self.entries)
         if not entries:
             raise NetInfeasibleError("a certificate needs at least one entry")
+        targets = [entry.target.value_pair for entry in entries]
+        if any(n1 * d2 > n2 * d1 for (n1, d1), (n2, d2) in zip(targets, targets[1:])):
+            key = _exact_key(targets)
+            entries = tuple(e for _, e in sorted(zip(targets, entries), key=lambda te: key(te[0])))
+        object.__setattr__(self, "entries", entries)
         for entry in entries:
-            if entry.gap > self.epsilon:
+            if _exceeds(entry.gap, self.epsilon):
                 raise SlopekitError(f"entry gap {entry.gap} exceeds epsilon {self.epsilon}")
         radius = covering_radius(self)
-        if radius > self.epsilon:
+        if _exceeds(radius, self.epsilon):
             raise SlopekitError(
                 f"achieved slopes cover [8, 9] only to radius {radius} > epsilon"
             )
 
 
-def _widest_gap(values: Sequence[Fraction]) -> tuple[Fraction, tuple[Fraction, Fraction]]:
-    """Covering radius of sorted points over [8, 9] and the first gap reaching it.
+def _widest_gap(
+    values: Sequence[tuple[int, int]],
+) -> tuple[Fraction, tuple[Fraction, Fraction]]:
+    """Covering radius of sorted points num/den (den >= 1) over [8, 9] and the
+    first gap reaching it.
 
     The 8-end is checked first, then the 9-end, then the interior gaps; a
-    later gap replaces the widest only when strictly wider.
+    later gap replaces the widest only when strictly wider.  The radius is
+    kept as an integer pair; Fractions are built for the result only.
     """
-    radius, gap = values[0] - 8, (Fraction(8), values[0])
-    if 9 - values[-1] > radius:
-        radius, gap = 9 - values[-1], (values[-1], Fraction(9))
-    for left, right in zip(values, values[1:]):
-        half_width = (right - left) / 2
-        if half_width > radius:
-            radius, gap = half_width, (left, right)
-    return radius, gap
+    count = len(values)
+    (first_num, first_den), (last_num, last_den) = values[0], values[-1]
+    # The widest gap so far runs from point `best` to point `best + 1`, where
+    # point -1 is 8 and point `count` is 9; its half width is r_num / r_den.
+    r_num, r_den, best = first_num - 8 * first_den, first_den, -1
+    if (9 * last_den - last_num) * r_den > r_num * last_den:
+        r_num, r_den, best = 9 * last_den - last_num, last_den, count - 1
+    for i, ((left_num, left_den), (right_num, right_den)) in enumerate(zip(values, values[1:])):
+        width_num = right_num * left_den - left_num * right_den
+        width_den = 2 * left_den * right_den
+        if width_num * r_den > r_num * width_den:
+            r_num, r_den, best = width_num, width_den, i
+
+    def point(j: int) -> Fraction:
+        return Fraction(8) if j < 0 else Fraction(9) if j == count else Fraction(*values[j])
+
+    return Fraction(r_num, r_den), (point(best), point(best + 1))
 
 
 def covering_radius(certificate: DensityCertificate) -> Fraction:
     """Exact sup over [8, 9] of the distance to the achieved slopes."""
-    return _widest_gap(sorted(entry.achieved for entry in certificate.entries))[0]
+    slopes = [(e.achieved.numerator, e.achieved.denominator) for e in certificate.entries]
+    slopes.sort(key=_exact_key(slopes))
+    return _widest_gap(slopes)[0]
 
 
 def density_certificate(
@@ -216,15 +268,15 @@ def density_certificate(
     if max_denominator < 1:
         raise SlopekitError("max denominator must be >= 1")
     half = epsilon / 2
-    targets = [TargetSlope(f.numerator, f.denominator) for f in farey_fractions(max_denominator)]
+    targets = [TargetSlope(p, q) for p, q in _farey_pairs(max_denominator)]
     targets.reverse()  # 9 - p/q ascends as p/q descends: now in value order
     if not targets:
         raise NetInfeasibleError(
             f"no reduced p/q with 0 < p < q <= {max_denominator}; "
             "largest uncovered gap is all of (8, 9), radius 1/2"
         )
-    worst_radius, worst_gap = _widest_gap([t.value for t in targets])
-    if worst_radius > half:
+    worst_radius, worst_gap = _widest_gap([t.value_pair for t in targets])
+    if _exceeds(worst_radius, half):
         raise NetInfeasibleError(
             f"targets with q <= {max_denominator} are not an epsilon/2-net: "
             f"largest uncovered gap is ({worst_gap[0]}, {worst_gap[1]}) "
@@ -245,15 +297,16 @@ CSV_HEADER = [
 ]
 
 
+def _certificate_row(entry: ConvergenceReport) -> list[int]:
+    target, params = entry.target, entry.params
+    return [target.p, target.q, *target.value_pair,
+            params.cover_exponent or 1, entry.n, params.d, params.k,
+            entry.achieved.numerator, entry.achieved.denominator,
+            entry.gap.numerator, entry.gap.denominator]
+
+
 def certificate_rows(entries: Sequence[ConvergenceReport]) -> list[list[int]]:
-    rows = []
-    for entry in entries:
-        value, params = entry.target.value, entry.params
-        rows.append([entry.target.p, entry.target.q, value.numerator, value.denominator,
-                     params.cover_exponent or 1, entry.n, params.d, params.k,
-                     entry.achieved.numerator, entry.achieved.denominator,
-                     entry.gap.numerator, entry.gap.denominator])
-    return rows
+    return [_certificate_row(entry) for entry in entries]
 
 
 def write_certificate_csv(
@@ -263,7 +316,7 @@ def write_certificate_csv(
         entries = entries.entries
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    writer.writerows(certificate_rows(entries))
+    writer.writerows(map(_certificate_row, entries))  # streamed, one row at a time
 
 
 def write_slope_svg(entries: Sequence[ConvergenceReport], stream: IO[str]) -> None:

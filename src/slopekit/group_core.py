@@ -76,6 +76,13 @@ class Word:
         # tuple comparison.
         object.__setattr__(self, "letters", free_reduce(self.letters))
 
+    @classmethod
+    def _from_reduced(cls, letters: tuple[int, ...]) -> "Word":
+        """Wrap letters already known to be freely reduced without re-reducing."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "letters", letters)
+        return word
+
     def __len__(self) -> int:
         return len(self.letters)
 

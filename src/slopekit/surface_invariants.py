@@ -67,7 +67,7 @@ class FibrationProfile:
             raise SlopekitError("fiber genus must be >= 2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FamilyParams:
     """Indices (d, k): cyclic cover order and half the branch fiber count.
 

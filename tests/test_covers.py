@@ -13,6 +13,7 @@ from slopekit.covers import (
 )
 from slopekit import group_core
 from slopekit.group_core import (
+    Word,
     abelianization,
     free_group,
     smith_normal_form,
@@ -110,6 +111,19 @@ def test_transversal_is_schreier():
     for word in sub.transversal:
         for cut in range(len(word.letters)):
             assert word.letters[:cut] in reps
+
+
+def test_transversal_matches_word_built_one():
+    # BFS in generator order: coset 1 by a, coset 2 by b, coset 3 = 1 + 2 by ab
+    sub = reidemeister_schreier(torus_group(), AbelianEpimorphism.cyclic(4, (1, 2)))
+    assert sub.transversal == (Word(()), Word((1,)), Word((2,)), Word((1, 2)))
+    for group, alpha in (
+        (surface_group(2), AbelianEpimorphism.cyclic(6, (1, 2, 0, 3))),
+        (surface_group(2), AbelianEpimorphism(4, (2, 4), ((1, 0, 1, 0), (0, 1, 0, 3)))),
+    ):
+        transversal = reidemeister_schreier(group, alpha).transversal
+        assert transversal == tuple(Word(w.letters) for w in transversal)
+        assert all(type(w) is Word for w in transversal)
 
 
 def test_subgroup_b1_examples():

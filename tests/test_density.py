@@ -242,15 +242,135 @@ def test_certificate_infeasible():
 def test_widest_gap_names_the_first_widest():
     from slopekit.density import _widest_gap
 
+    # points are (numerator, denominator) pairs
     # the 8-end, the interior gap and the 9-end all have radius 1/4
-    values = [Fraction(33, 4), Fraction(35, 4)]
+    values = [(33, 4), (35, 4)]
     assert _widest_gap(values) == (Fraction(1, 4), (Fraction(8), Fraction(33, 4)))
     assert _widest_gap(values[1:]) == (Fraction(3, 4), (Fraction(8), Fraction(35, 4)))
-    assert _widest_gap([Fraction(8), Fraction(17, 2)]) == (
+    assert _widest_gap([(8, 1), (17, 2)]) == (
         Fraction(1, 2), (Fraction(17, 2), Fraction(9)))
     # interior ties keep the first gap; only a strictly wider one replaces it
-    values = [Fraction(8), Fraction(33, 4), Fraction(17, 2), Fraction(35, 4), Fraction(9)]
+    values = [(8, 1), (33, 4), (17, 2), (35, 4), (9, 1)]
     assert _widest_gap(values) == (Fraction(1, 8), (Fraction(8), Fraction(33, 4)))
+
+
+def _reference_widest_gap(values):
+    """Radius and first widest gap of sorted Fraction points, in Fraction arithmetic."""
+    radius, gap = values[0] - 8, (Fraction(8), values[0])
+    if 9 - values[-1] > radius:
+        radius, gap = 9 - values[-1], (values[-1], Fraction(9))
+    for left, right in zip(values, values[1:]):
+        if (right - left) / 2 > radius:
+            radius, gap = (right - left) / 2, (left, right)
+    return radius, gap
+
+
+def test_convergence_gap_matches_closed_form_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def case(draw):
+        q = draw(st.integers(2, 60))
+        target = TargetSlope(draw(st.integers(1, q - 1)), q)
+        e, g_f = draw(st.integers(1, 6)), draw(st.integers(2, 30))
+        if draw(st.booleans()):  # epsilon equal to the gap at some n: that n is accepted
+            n = draw(st.integers(1, 500))
+            return target, e, g_f, Fraction(target.p, target.q * (n * e * target.q * (g_f - 1) + 1)), n
+        return target, e, g_f, draw(st.fractions(Fraction(1, 10**6), 2, max_denominator=10**7)), None
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(case())
+    def check(args):
+        target, e, g_f, epsilon, exact_n = args
+        report = convergence_report(target, e, g_f, epsilon)
+        p, q, n = target.p, target.q, report.n
+        assert report.gap == Fraction(p, q * (n * e * q * (g_f - 1) + 1)) <= epsilon
+        assert report.gap == abs(report.achieved - target.value)
+        assert exact_n is None or (n == exact_n and report.gap == epsilon)
+
+    check()
+
+
+def test_widest_gap_and_covering_radius_match_fractions():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from slopekit.density import ConvergenceReport, _widest_gap
+
+    @st.composite
+    def points(draw):
+        m = draw(st.integers(1, 24))
+        grid = [8 + Fraction(j, m) for j in range(m + 1)]  # has 8 and 9; equal gaps tie
+        point = st.builds(lambda n, d: 8 + Fraction(n % (d + 1), d), st.integers(0, 60), st.integers(1, 60))
+        loose = draw(st.lists(point, min_size=1, max_size=12))
+        pool = draw(st.sampled_from((grid, loose, grid + loose)))
+        values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=25))  # duplicates
+        return draw(st.permutations(values)), draw(st.integers(1, 3))
+
+    @hypothesis.settings(max_examples=250, deadline=None, derandomize=True)
+    @hypothesis.given(points())
+    def check(args):
+        values, scale = args
+        expected = _reference_widest_gap(sorted(values))
+        # unreduced pairs name the same points
+        pairs = [(v.numerator * scale, v.denominator * scale) for v in sorted(values)]
+        assert _widest_gap(pairs) == expected
+        entries = [
+            ConvergenceReport(TargetSlope(1, 2), 1, FamilyParams(1, 1), v, abs(v - Fraction(17, 2)))
+            for v in values
+        ]
+        assert covering_radius(DensityCertificate(Fraction(1), entries)) == expected[0]
+
+    check()
+
+
+def test_certificate_sorts_shuffled_entries():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(2, 30), st.integers(1, 3), st.randoms(use_true_random=False),
+                      st.integers(0, 5))
+    def check(q_max, exponent, rng, repeats):
+        # the end gaps of the Farey targets have radius 1/Q, so epsilon = 2/Q is feasible
+        cert = density_certificate(Fraction(2, q_max), exponent, 19, q_max)
+        shuffled = list(cert.entries) + rng.choices(cert.entries, k=repeats)
+        rng.shuffle(shuffled)
+        rebuilt = DensityCertificate(cert.epsilon, shuffled)
+        values = [entry.target.value for entry in rebuilt.entries]
+        assert values == sorted(values)
+        assert sorted(rebuilt.entries, key=id) == sorted(shuffled, key=id)
+        if not repeats:
+            assert rebuilt.entries == cert.entries
+
+    check()
+
+
+def test_certificate_accepts_bounds_equal_to_epsilon():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from dataclasses import replace
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(2, 30), st.integers(1, 3), st.data())
+    def check(q_max, exponent, data):
+        cert = density_certificate(Fraction(2, q_max), exponent, 19, q_max)
+        radius = covering_radius(cert)
+        assert max(entry.gap for entry in cert.entries) <= radius
+        # the covering radius equal to epsilon is accepted, anything below it is not
+        assert DensityCertificate(radius, cert.entries).entries == cert.entries
+        with pytest.raises(SlopekitError, match="cover \\[8, 9\\] only to radius"):
+            DensityCertificate(radius - Fraction(1, 10**12), cert.entries)
+        # an entry gap equal to epsilon is accepted, a wider one is not
+        i = data.draw(st.integers(0, len(cert.entries) - 1))
+        entries = list(cert.entries)
+        entries[i] = replace(entries[i], gap=radius)
+        DensityCertificate(radius, entries)
+        entries[i] = replace(entries[i], gap=radius + Fraction(1, 10**12))
+        with pytest.raises(SlopekitError, match="exceeds epsilon"):
+            DensityCertificate(radius, entries)
+
+    check()
 
 
 def test_certificate_tenth_twentieth():
@@ -270,7 +390,7 @@ def test_certificate_slopes_in_open_interval():
 
 def test_certificate_rejects_weak_entries():
     good = density_certificate(Fraction(1, 4), 1, 19, 8)
-    with pytest.raises(Exception):
+    with pytest.raises(SlopekitError, match=r"^entry gap \S+ exceeds epsilon 1/1000$"):
         DensityCertificate(Fraction(1, 1000), good.entries)
 
 
