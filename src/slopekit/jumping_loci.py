@@ -5,10 +5,21 @@ j-th basis element to a fixed power of a primitive m-th root of unity.  The
 twisted first cohomology h^1(G; C_xi) is computed from the presentation
 2-complex: for nontrivial xi it equals g - 1 - rank A(xi), where A(xi) is the
 Alexander matrix of Fox derivatives evaluated at xi.  Every Fox derivative
-at xi lies in the ring Z[zeta_m] = Z[z]/(Phi_m(z)), stored as its integer
-residue vector of ints; ranks over the field Q(zeta_m) come from
-fraction-free Gaussian elimination, which stays in Z[zeta_m].  There is no
-floating point, no rational arithmetic and no tolerance anywhere.
+at xi lies in the ring Z[zeta_m] = Z[z]/(Phi_m(z)), and the rank is taken
+over the field Q(zeta_m) in two steps:
+
+* a certificate in F_p, for a fixed prime p = 1 (mod m) and an element
+  omega of exact order m mod p.  zeta_m -> omega is a ring map
+  Z[zeta_m] -> F_p, so the rank of the Fox rows evaluated straight into F_p
+  is a lower bound; the rank is at most min(r, g - 1) (r relators, g
+  generators), so an F_p rank at that bound is the rank.
+* the exact route for every other character - those of rank below
+  min(r, g - 1), and any whose nonzero minors of that size all vanish mod
+  p: each Fox derivative is stored as its integer residue vector mod Phi_m,
+  and fraction-free Gaussian elimination stays in Z[zeta_m].
+
+There is no floating point, no rational arithmetic and no tolerance
+anywhere.
 
 Scanning all characters of order up to a bound N yields the finite sets
 
@@ -42,7 +53,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .covers import AbelianEpimorphism
 from .errors import SlopekitError
 from .group_core import (
-    FreeAbelianization,
     GroupPresentation,
     LaurentPolynomial,
     Word,
@@ -229,6 +239,15 @@ class TorsionCharacter:
         object.__setattr__(self, "exponents", exps)
 
     @classmethod
+    def _canonical(cls, modulus: int, exponents: tuple[int, ...]) -> "TorsionCharacter":
+        """Wrap an exact-order character (exponents in range(modulus), gcd with
+        the modulus 1) without re-canonicalizing it."""
+        character = object.__new__(cls)
+        object.__setattr__(character, "modulus", modulus)
+        object.__setattr__(character, "exponents", exponents)
+        return character
+
+    @classmethod
     def trivial(cls, rank: int) -> "TorsionCharacter":
         return cls(1, tuple([0] * rank))
 
@@ -264,16 +283,16 @@ class TorsionCharacter:
 # Evaluation of the Alexander matrix at a character
 
 
-def _checked_free_abelianization(
-    presentation: GroupPresentation, character: TorsionCharacter
-) -> FreeAbelianization:
-    """The free abelianization, after checking the character's rank against it."""
+def _character_shifts(presentation: GroupPresentation, character: TorsionCharacter) -> list[int]:
+    """Exponent of the character's value on each generator, after checking
+    the character's rank against the free abelianization."""
     fa = free_abelianization(presentation)
     if character.rank != fa.rank:
         raise CharacterDomainError(
             f"character has rank {character.rank}, free abelianization has rank {fa.rank}"
         )
-    return fa
+    exps, m = character.exponents, character.modulus
+    return [sum(map(operator.mul, image, exps)) % m for image in fa.generator_images]
 
 
 def _fox_row_at_character(
@@ -315,8 +334,7 @@ def evaluate_alexander_matrix(
     the trivial character this returns the integer exponent matrix,
     relators as rows.
     """
-    fa = _checked_free_abelianization(presentation, character)
-    shifts = [character.pairing(img) for img in fa.generator_images]
+    shifts = _character_shifts(presentation, character)
     return [
         _fox_row_at_character(rel, shifts, presentation.generator_count, character.modulus)
         for rel in presentation.relators
@@ -373,6 +391,95 @@ def cyclotomic_rank(rows: Sequence[Sequence[CyclotomicNumber]]) -> int:
     return rank
 
 
+# ---------------------------------------------------------------------------
+# Rank certificates over F_p
+
+
+# Miller-Rabin with these bases is deterministic for n < 3.3 * 10**24.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test (n < 3.3 * 10**24)."""
+    if n < 2:
+        return False
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _fp_root_powers(m: int) -> tuple[int, tuple[int, ...]]:
+    """The least prime p > 2**30 with p = 1 (mod m), and the powers
+    omega**k mod p (0 <= k < m) of an element omega of exact order m.
+
+    Phi_m(omega) = 0 mod p, so zeta_m -> omega is a ring map Z[zeta_m] -> F_p.
+    A prime this large rarely kills a nonzero minor, and the products of two
+    residues stay machine-word sized.
+    """
+    p = m * -(-2**30 // m) + 1
+    while not _is_prime(p):
+        p += m
+    for a in itertools.count(2):
+        omega = pow(a, (p - 1) // m, p)
+        powers = [1]
+        for _ in range(m - 1):
+            powers.append(powers[-1] * omega % p)
+        if powers.count(1) == 1:  # omega has exact order m
+            return p, tuple(powers)
+
+
+def _fox_row_mod_p(
+    relator: Word, shifts: Sequence[int], generator_count: int, powers: Sequence[int], p: int
+) -> list[int]:
+    """The Fox row of one relator at a character, mapped to F_p by zeta_m -> omega."""
+    m = len(powers)
+    row = [0] * generator_count
+    s = 0
+    for letter in relator:
+        if letter > 0:
+            row[letter - 1] += powers[s]
+            s = (s + shifts[letter - 1]) % m
+        else:
+            s = (s - shifts[-letter - 1]) % m
+            row[-letter - 1] -= powers[s]
+    return [x % p for x in row]
+
+
+def _rank_mod_p(rows: list[list[int]], p: int, bound: int) -> int:
+    """Rank over F_p of rows with entries in range(p), counted up to bound;
+    the rows are consumed."""
+    rank = 0
+    while rows and rank < bound:
+        prow = rows.pop()
+        if not any(prow):
+            continue
+        rank += 1
+        if rank == bound:
+            break
+        col = next(j for j, x in enumerate(prow) if x)
+        inverse = pow(prow[col], -1, p)
+        for i, row in enumerate(rows):
+            if row[col]:
+                f = row[col] * inverse % p
+                rows[i] = [(x - f * y) % p for x, y in zip(row, prow)]
+    return rank
+
+
 def twisted_h1(presentation: GroupPresentation, character: TorsionCharacter) -> int:
     """Dimension of the first twisted cohomology h^1(G; C_xi).
 
@@ -381,12 +488,31 @@ def twisted_h1(presentation: GroupPresentation, character: TorsionCharacter) -> 
 
         h^1 = g - 1 - rank A(xi),
 
-    with the rank taken exactly over the cyclotomic field.
+    with the rank taken exactly over the cyclotomic field Q(zeta_m).  The
+    rank is bounded on both sides without leaving the integers:
+
+    * above by min(r, g - 1): A(xi) has r rows, and the fundamental formula
+      sum_j (dr/dx_j)(x_j - 1) = r - 1 puts the nonzero vector
+      (xi(x_j) - 1)_j in its kernel;
+    * below by the rank over F_p of A(xi) mapped through zeta_m -> omega
+      (see _fp_root_powers), since a minor that is nonzero mod p is nonzero.
+
+    When the F_p rank reaches the upper bound it is the rank.  Otherwise -
+    a rank-deficient character, or a p that kills every nonzero minor of
+    the bound's size - the rank comes from fraction-free elimination of
+    A(xi) over Z[zeta_m].
     """
+    shifts = _character_shifts(presentation, character)
     if character.is_trivial():
-        return _checked_free_abelianization(presentation, character).rank
-    rows = evaluate_alexander_matrix(presentation, character)
-    return presentation.generator_count - 1 - cyclotomic_rank(rows)
+        return character.rank
+    g = presentation.generator_count
+    bound = min(len(presentation.relators), g - 1)
+    p, powers = _fp_root_powers(character.modulus)
+    rows = [_fox_row_mod_p(rel, shifts, g, powers, p) for rel in presentation.relators]
+    rank = _rank_mod_p(rows, p, bound)
+    if rank < bound:
+        rank = cyclotomic_rank(evaluate_alexander_matrix(presentation, character))
+    return g - 1 - rank
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +626,7 @@ def _enumerate_characters(rank: int, max_order: int) -> Iterator[TorsionCharacte
     for m in range(2, max_order + 1):
         for exps in itertools.product(range(m), repeat=rank):
             if exps and gcd(m, *exps) == 1:
-                yield TorsionCharacter(m, exps)
+                yield TorsionCharacter._canonical(m, exps)
 
 
 def scan_jumping_loci(presentation: GroupPresentation, max_order: int) -> JumpingLocusReport:

@@ -1,15 +1,18 @@
 """Cyclotomic arithmetic, twisted h^1, scans, Hironaka, coprime covers."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
+from slopekit import jumping_loci
 from slopekit.covers import AbelianEpimorphism
 from slopekit.errors import SlopekitError
 from slopekit.group_core import (
+    GroupPresentation,
     alexander_matrix,
     cyclic_group,
     free_group,
@@ -33,6 +36,9 @@ from slopekit.jumping_loci import (
     hironaka_b1,
     scan_jumping_loci,
     twisted_h1,
+    _enumerate_characters,
+    _fp_root_powers,
+    _is_prime,
 )
 
 # ---------------------------------------------------------------------------
@@ -268,6 +274,86 @@ def test_twisted_h1_is_galois_invariant():
     check()
 
 
+def test_twisted_h1_matches_exact_elimination():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from slopekit.group_core import free_abelianization
+
+    @st.composite
+    def group_and_character(draw):
+        gens = draw(st.integers(1, 4))
+        letters = st.integers(1, gens).flatmap(lambda i: st.sampled_from((i, -i)))
+        words = draw(st.lists(st.lists(letters, min_size=1, max_size=12), max_size=3))
+        relators = []
+        for word in words:
+            # balancing the last generator keeps a free part in H1; the
+            # other generators may leave torsion
+            e = sum(1 if x > 0 else -1 for x in word if abs(x) == gens)
+            relators.append(word + [-gens if e > 0 else gens] * abs(e))
+        presentation = GroupPresentation(gens, tuple(relators))
+        rank = free_abelianization(presentation).rank
+        m = draw(st.integers(2, 12))
+        rest = draw(st.lists(st.integers(0, m - 1), min_size=rank - 1, max_size=rank - 1))
+        return presentation, TorsionCharacter(m, (draw(st.integers(1, m - 1)), *rest))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(group_and_character())
+    def check(case):
+        presentation, xi = case
+        exact = cyclotomic_rank(evaluate_alexander_matrix(presentation, xi))
+        assert twisted_h1(presentation, xi) == presentation.generator_count - 1 - exact
+
+    check()
+
+
+def test_fp_root_table():
+    for n in (2047, 1373653, 3215031751, 3825123056546413051):  # strong pseudoprimes
+        assert not _is_prime(n)
+    assert [n for n in range(200) if _is_prime(n)] == [
+        n for n in range(2, 200) if all(n % d for d in range(2, n))
+    ]
+    for m in range(2, 65):
+        p, powers = _fp_root_powers(m)
+        omega = powers[1]
+        assert p > 2**30 and p % m == 1
+        assert all(p % d for d in range(3, isqrt(p) + 1, 2))
+        assert powers == tuple(pow(omega, k, p) for k in range(m))
+        assert len(set(powers)) == m and pow(omega, m, p) == 1  # exact order m
+        phi_at_omega = sum(c * pow(omega, k, p) for k, c in enumerate(cyclotomic_polynomial(m)))
+        assert phi_at_omega % p == 0
+
+
+def test_twisted_h1_falls_back_when_p_divides_a_minor(monkeypatch):
+    # <a, b | a^7 b a^-7 b^-1> at a -> 1, b -> zeta_3: the Fox row is
+    # (7 (1 - zeta_3), 0), of rank 1 over Q(zeta_3) but 0 mod 7.
+    group = GroupPresentation(2, ((1,) * 7 + (2,) + (-1,) * 7 + (-2,),))
+    xi = TorsionCharacter(3, (0, 1))
+    exact_calls = []
+
+    def counted_rank(rows):
+        exact_calls.append(rows)
+        return cyclotomic_rank(rows)
+
+    monkeypatch.setattr(jumping_loci, "cyclotomic_rank", counted_rank)
+    assert twisted_h1(group, xi) == 0
+    assert not exact_calls  # the F_p rank reached its bound
+    table = jumping_loci._fp_root_powers
+    monkeypatch.setattr(
+        jumping_loci, "_fp_root_powers", lambda m: (7, (1, 2, 4)) if m == 3 else table(m)
+    )
+    assert twisted_h1(group, xi) == 0
+    assert len(exact_calls) == 1
+
+
+def test_enumeration_is_canonical_and_ordered():
+    expected = sorted(
+        {TorsionCharacter(m, e) for m in range(2, 7) for e in itertools.product(range(m), repeat=3)}
+        - {TorsionCharacter.trivial(3)},
+        key=lambda xi: (xi.modulus, xi.exponents),
+    )
+    assert list(_enumerate_characters(3, 6)) == expected
+
+
 def test_conjugation_symmetry():
     fixtures = [
         (torus_group(), 5),
@@ -277,7 +363,6 @@ def test_conjugation_symmetry():
     ]
     for presentation, bound in fixtures:
         report = scan_jumping_loci(presentation, bound)
-        from slopekit.jumping_loci import _enumerate_characters
         from slopekit.group_core import free_abelianization
 
         rank = free_abelianization(presentation).rank
