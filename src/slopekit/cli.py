@@ -33,6 +33,7 @@ from .group_core import (
     free_abelianization,
 )
 from .jumping_loci import (
+    JumpingLocusReport,
     TorsionCharacter,
     evaluate_alexander_matrix,
     hironaka_b1,
@@ -206,6 +207,47 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+# A scan report can run to megabytes, and `json.dumps` with `indent` falls back
+# to the pure-Python encoder; these templates print the same bytes as
+# `_json_text(report.to_json_dict())` in one pass.  An entry's character is
+# nontrivial, so its exponent list is never empty.
+_SCAN_JSON = '{\n  "b1": %d,\n  "entries": %s,\n  "exponent": %d,\n  "scan_bound": %s\n}\n'
+_SCAN_JSON_ENTRY = (
+    '    {\n      "depth": %d,\n      "exponents": [\n        %s\n      ],\n'
+    '      "modulus": %d\n    }'
+)
+
+
+def _scan_json(report: JumpingLocusReport) -> str:
+    entries = ",\n".join([
+        _SCAN_JSON_ENTRY % (
+            e.depth, ",\n        ".join(map(str, e.character.exponents)), e.character.modulus
+        )
+        for e in report.entries
+    ])
+    return _SCAN_JSON % (
+        report.b1,
+        "[\n%s\n  ]" % entries if entries else "[]",
+        report.exponent,
+        "null" if report.scan_bound is None else "%d" % report.scan_bound,
+    )
+
+
+def _scan_text(report: JumpingLocusReport) -> str:
+    lines = [
+        f"scan bound: {report.scan_bound}",
+        f"b1: {report.b1}",
+        f"exponent: {report.exponent}",
+        f"nontrivial entries: {len(report.entries)}",
+    ]
+    lines += [
+        "  order %d exponents %s: depth %d"
+        % (e.character.modulus, list(e.character.exponents), e.depth)
+        for e in report.entries
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def _laurent_json(poly: LaurentPolynomial) -> list[dict]:
     return [
         {"exponents": list(exps), "coefficient": coeff}
@@ -272,22 +314,7 @@ def _cmd_alexander(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     presentation = load_presentation(args.input)
     report = scan_jumping_loci(presentation, args.max_order)
-    if args.fmt == "json":
-        payload = _json_text(report.to_json_dict())
-    else:
-        lines = [
-            f"scan bound: {report.scan_bound}",
-            f"b1: {report.b1}",
-            f"exponent: {report.exponent}",
-            f"nontrivial entries: {len(report.entries)}",
-        ]
-        for entry in report.entries:
-            lines.append(
-                f"  order {entry.character.order} exponents "
-                f"{list(entry.character.exponents)}: depth {entry.depth}"
-            )
-        payload = "\n".join(lines) + "\n"
-    _emit(args, payload)
+    _emit(args, _scan_json(report) if args.fmt == "json" else _scan_text(report))
     return 0
 
 
