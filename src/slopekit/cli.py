@@ -18,7 +18,8 @@ import json
 import sys
 from fractions import Fraction
 from io import StringIO
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Iterator, Mapping, Sequence
 
 from . import density as density_mod
 from . import surface_invariants as surfaces
@@ -58,7 +59,7 @@ def _letters_from_tokens(
 ) -> list[int]:
     letters = []
     for tok in tokens:
-        if len(tok) != 1 or not tok.isalpha():
+        if not isinstance(tok, str) or len(tok) != 1 or not tok.isalpha():
             raise PresentationParseError(f"{where}: invalid token {tok!r}")
         idx = letter_to_index.get(tok.lower())
         if idx is None:
@@ -70,7 +71,7 @@ def _letters_from_tokens(
 def _generator_table(names: Sequence[str], where: str) -> dict[str, int]:
     table: dict[str, int] = {}
     for name in names:
-        if len(name) != 1 or not name.isalpha() or not name.islower():
+        if not isinstance(name, str) or len(name) != 1 or not name.isalpha() or not name.islower():
             raise PresentationParseError(
                 f"{where}: generator names must be single lowercase letters, got {name!r}"
             )
@@ -124,8 +125,10 @@ def presentation_from_json_dict(data: Mapping) -> GroupPresentation:
     table = _generator_table(names, "generators")
     relators = []
     for i, rel in enumerate(raw_relators):
-        tokens = rel.split() if isinstance(rel, str) else list(rel)
         where = f"relator {i + 1}"
+        if not isinstance(rel, (str, list)):
+            raise PresentationParseError(f"{where}: not a string or a list of tokens: {rel!r}")
+        tokens = rel.split() if isinstance(rel, str) else rel
         word = Word(tuple(_letters_from_tokens(tokens, table, where)))
         if not word.letters:
             raise PresentationParseError(f"{where}: relator reduces to the empty word")
@@ -245,6 +248,34 @@ def _scan_text(report: JumpingLocusReport) -> str:
         % (e.character.modulus, list(e.character.exponents), e.depth)
         for e in report.entries
     ]
+    return "\n".join(lines) + "\n"
+
+
+# Density entries print from their certificate rows, picked into each template's
+# field order, in the bytes of `_json_text`; a certificate is never empty.
+_DENSITY_JSON = '{\n  "entries": [\n%s\n  ],\n  "epsilon": "%d/%d"\n}\n'
+_DENSITY_JSON_ENTRY = (
+    '    {\n      "d": %d,\n      "e": %d,\n      "gap": "%d/%d",\n      "k": %d,\n'
+    '      "n": %d,\n      "p": %d,\n      "q": %d,\n      "slope": "%d/%d",\n'
+    '      "target": "%d/%d"\n    }'
+)
+_DENSITY_JSON_FIELDS = itemgetter(6, 4, 10, 11, 7, 5, 0, 1, 8, 9, 2, 3)
+_DENSITY_TEXT_ENTRY = "  target %d/%d (p/q=%d/%d) n=%d d=%d k=%d slope=%d/%d gap=%d/%d"
+_DENSITY_TEXT_FIELDS = itemgetter(2, 3, 0, 1, 5, 6, 7, 8, 9, 10, 11)
+
+
+def _density_lines(template: str, fields: itemgetter, entries: Sequence) -> Iterator[str]:
+    return map(template.__mod__, map(fields, map(density_mod.certificate_row, entries)))
+
+
+def _density_json(epsilon: Fraction, entries: Sequence[density_mod.ConvergenceReport]) -> str:
+    body = ",\n".join(_density_lines(_DENSITY_JSON_ENTRY, _DENSITY_JSON_FIELDS, entries))
+    return _DENSITY_JSON % (body, epsilon.numerator, epsilon.denominator)
+
+
+def _density_text(epsilon: Fraction, entries: Sequence[density_mod.ConvergenceReport]) -> str:
+    lines = [f"epsilon: {epsilon}", f"entries: {len(entries)}"]
+    lines += _density_lines(_DENSITY_TEXT_ENTRY, _DENSITY_TEXT_FIELDS, entries)
     return "\n".join(lines) + "\n"
 
 
@@ -392,53 +423,21 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
-    _, fibration = surfaces.cartwright_steger_profile()
+    genus = surfaces.cartwright_steger_profile()[1].fiber_genus
     if args.target is not None:
-        entries = (
-            density_mod.convergence_report(
-                args.target, args.exponent, fibration.fiber_genus, args.epsilon
-            ),
-        )
-        epsilon = args.epsilon
+        entries = [density_mod.convergence_report(args.target, args.exponent, genus, args.epsilon)]
     else:
-        certificate = density_mod.density_certificate(
-            args.epsilon, args.exponent, fibration.fiber_genus, args.max_denominator
-        )
-        entries = certificate.entries
-        epsilon = certificate.epsilon
+        entries = density_mod.density_certificate(
+            args.epsilon, args.exponent, genus, args.max_denominator
+        ).entries
 
-    def entry_json(entry: density_mod.ConvergenceReport) -> dict:
-        return {
-            "p": entry.target.p,
-            "q": entry.target.q,
-            "target": "{}/{}".format(*entry.target.value_pair),
-            "e": entry.params.cover_exponent or 1,
-            "n": entry.n,
-            "d": entry.params.d,
-            "k": entry.params.k,
-            "slope": f"{entry.achieved.numerator}/{entry.achieved.denominator}",
-            "gap": f"{entry.gap.numerator}/{entry.gap.denominator}",
-        }
-
-    if args.fmt == "json":
-        payload = _json_text(
-            {"epsilon": f"{epsilon.numerator}/{epsilon.denominator}",
-             "entries": [entry_json(e) for e in entries]}
-        )
-    elif args.fmt == "text":
-        lines = [f"epsilon: {epsilon}", f"entries: {len(entries)}"]
-        for entry in entries:
-            value_num, value_den = entry.target.value_pair
-            lines.append(
-                f"  target {value_num}/{value_den} (p/q={entry.target.p}/{entry.target.q}) "
-                f"n={entry.n} d={entry.params.d} k={entry.params.k} "
-                f"slope={entry.achieved} gap={entry.gap}"
-            )
-        payload = "\n".join(lines) + "\n"
-    else:
+    if args.fmt == "csv":
         buffer = StringIO()
         density_mod.write_certificate_csv(entries, buffer)
         payload = buffer.getvalue()
+    else:
+        render = _density_json if args.fmt == "json" else _density_text
+        payload = render(args.epsilon, entries)
 
     # The plot goes first, so a plot path that cannot be written leaves stdout empty.
     if args.plot:

@@ -21,7 +21,6 @@ any comparison, and a Fraction is built only for a value that gets reported.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -296,17 +295,21 @@ CSV_HEADER = [
     "slope_num", "slope_den", "gap_num", "gap_den",
 ]
 
+# A row is the one description of an entry that csv, json and text output read.
+_CSV_ROW = ",".join(["%d"] * len(CSV_HEADER)) + "\n"
 
-def _certificate_row(entry: ConvergenceReport) -> list[int]:
+
+def certificate_row(entry: ConvergenceReport) -> tuple[int, ...]:
+    """The entry as the 12 integers of CSV_HEADER, in that order."""
     target, params = entry.target, entry.params
-    return [target.p, target.q, *target.value_pair,
+    return (target.p, target.q, *target.value_pair,
             params.cover_exponent or 1, entry.n, params.d, params.k,
             entry.achieved.numerator, entry.achieved.denominator,
-            entry.gap.numerator, entry.gap.denominator]
+            entry.gap.numerator, entry.gap.denominator)
 
 
-def certificate_rows(entries: Sequence[ConvergenceReport]) -> list[list[int]]:
-    return [_certificate_row(entry) for entry in entries]
+def certificate_rows(entries: Sequence[ConvergenceReport]) -> list[tuple[int, ...]]:
+    return list(map(certificate_row, entries))
 
 
 def write_certificate_csv(
@@ -314,9 +317,9 @@ def write_certificate_csv(
 ) -> None:
     if isinstance(entries, DensityCertificate):
         entries = entries.entries
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerows(map(_certificate_row, entries))  # streamed, one row at a time
+    stream.write(",".join(CSV_HEADER) + "\n")
+    # streamed, one row at a time
+    stream.writelines(map(_CSV_ROW.__mod__, map(certificate_row, entries)))
 
 
 def write_slope_svg(entries: Sequence[ConvergenceReport], stream: IO[str]) -> None:

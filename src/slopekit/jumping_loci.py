@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -555,13 +555,14 @@ class JumpingLocusReport:
     The trivial character is not listed among the entries; it sits in W_i
     exactly for i <= b1.  ``scan_bound`` records the order bound of the scan
     that produced the report; None marks a report asserted complete on other
-    grounds (fixtures), which is never produced by a scan.
+    grounds (fixtures), which is never produced by a scan.  ``exponent``
+    is derived: the lcm of the entry orders.
     """
 
     scan_bound: int | None
     b1: int
     entries: tuple[JumpEntry, ...]
-    exponent: int
+    exponent: int = field(init=False)
 
     def __post_init__(self) -> None:
         entries = tuple(
@@ -573,17 +574,7 @@ class JumpingLocusReport:
             if entry.depth < 1:
                 raise SlopekitError("entries must have depth >= 1")
         object.__setattr__(self, "entries", entries)
-        if self.exponent != exponent_of(entries):
-            raise SlopekitError(
-                f"stated exponent {self.exponent} != lcm of entry orders {exponent_of(entries)}"
-            )
-
-    @classmethod
-    def build(
-        cls, scan_bound: int | None, b1: int, entries: Iterable[JumpEntry]
-    ) -> "JumpingLocusReport":
-        entries = tuple(entries)
-        return cls(scan_bound, b1, entries, exponent_of(entries))
+        object.__setattr__(self, "exponent", exponent_of(entries))
 
     def characters_with_depth_at_least(self, depth: int) -> tuple[TorsionCharacter, ...]:
         """W_depth as a character tuple; the free rank equals b1, so the
@@ -603,12 +594,16 @@ class JumpingLocusReport:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "JumpingLocusReport":
-        return cls(
+        report = cls(
             data["scan_bound"],
             operator.index(data["b1"]),
             tuple(JumpEntry.from_json_dict(e) for e in data["entries"]),
-            operator.index(data["exponent"]),
         )
+        if operator.index(data["exponent"]) != report.exponent:
+            raise SlopekitError(
+                f"stated exponent {data['exponent']} != lcm of entry orders {report.exponent}"
+            )
+        return report
 
 
 def cartwright_steger_report() -> JumpingLocusReport:
@@ -619,7 +614,7 @@ def cartwright_steger_report() -> JumpingLocusReport:
     empty, the exponent is 1, and b_1 = 2.  The report carries scan_bound
     None because it is complete knowledge, not the outcome of a bounded scan.
     """
-    return JumpingLocusReport(scan_bound=None, b1=2, entries=(), exponent=1)
+    return JumpingLocusReport(scan_bound=None, b1=2, entries=())
 
 
 def _enumerate_characters(rank: int, max_order: int) -> Iterator[TorsionCharacter]:
@@ -644,7 +639,7 @@ def scan_jumping_loci(presentation: GroupPresentation, max_order: int) -> Jumpin
         depth = twisted_h1(presentation, xi)
         if depth >= 1:
             entries.append(JumpEntry(xi, depth))
-    return JumpingLocusReport.build(max_order, fa.rank, entries)
+    return JumpingLocusReport(max_order, fa.rank, entries)
 
 
 # ---------------------------------------------------------------------------

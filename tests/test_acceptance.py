@@ -169,7 +169,7 @@ def test_criterion_6_coprime_cover_selection():
             ),
         }
         for exponent, entries in synthetic.items():
-            report = JumpingLocusReport.build(None, 2, entries)
+            report = JumpingLocusReport(None, 2, entries)
             assert report.exponent == exponent
             for lam in range(0, 11):
                 d = lam * exponent + 1
@@ -184,7 +184,7 @@ def test_criterion_6_coprime_cover_selection():
                 JumpEntry(TorsionCharacter(exponent, (1, 0)), depth),  # factors
                 JumpEntry(TorsionCharacter(exponent, (1, 1)), 1),  # does not factor
             )
-            report = JumpingLocusReport.build(None, 2, entries)
+            report = JumpingLocusReport(None, 2, entries)
             result = coprime_cover_b1(2, report, exponent, (1, 0))
             assert result.certificate is None
             assert result.b1 == 2 + depth

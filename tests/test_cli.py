@@ -305,6 +305,27 @@ def test_binary_input_is_an_error(capsys, tmp_path):
     assert_single_json_error(err, "InputFileError", "cannot read")
 
 
+@pytest.mark.parametrize(
+    "presentation, fragment",
+    [
+        ({"generators": ["a"], "relators": [5]}, "relator 1: not a string or a list"),
+        ({"generators": ["a"], "relators": [None]}, "relator 1: not a string or a list"),
+        ({"generators": ["a"], "relators": [["a", 5]]}, "relator 1: invalid token 5"),
+        ({"generators": [1], "relators": []}, "generators: generator names"),
+        ({"generators": [["a"]], "relators": []}, "generators: generator names"),
+        ({"generators": ["a"], "relators": [[["a"]]]}, "relator 1: invalid token ['a']"),
+    ],
+)
+@pytest.mark.parametrize("subcommand", [["abelianize"], ["scan", "--max-order", "2"]])
+def test_malformed_presentation_json_is_an_error(capsys, tmp_path, presentation, fragment,
+                                                 subcommand):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(presentation))
+    code, out, err = run_cli(capsys, *subcommand, "--input", str(path))
+    assert code == 1 and out == ""
+    assert_single_json_error(err, "PresentationParseError", fragment)
+
+
 def test_epimorphism_without_factors_is_an_error(capsys, genus2_file, tmp_path):
     epi_path = tmp_path / "epi.json"
     epi_path.write_text(json.dumps({"matrix": [[1, 0, 0, 0]]}))

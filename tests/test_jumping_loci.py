@@ -437,11 +437,14 @@ def test_report_json_roundtrip():
 
 def test_report_validation():
     with pytest.raises(SlopekitError):
-        JumpingLocusReport(None, 2, (JumpEntry(TorsionCharacter.trivial(2), 1),), 1)
+        JumpingLocusReport(None, 2, (JumpEntry(TorsionCharacter.trivial(2), 1),))
     with pytest.raises(SlopekitError):
-        JumpingLocusReport(None, 2, (JumpEntry(TorsionCharacter(2, (1, 0)), 0),), 2)
-    with pytest.raises(SlopekitError):
-        JumpingLocusReport(None, 2, (JumpEntry(TorsionCharacter(2, (1, 0)), 1),), 4)
+        JumpingLocusReport(None, 2, (JumpEntry(TorsionCharacter(2, (1, 0)), 0),))
+    # the exponent is derived; a stated one must agree with it
+    data = JumpingLocusReport(None, 2, (JumpEntry(TorsionCharacter(2, (1, 0)), 1),)).to_json_dict()
+    data["exponent"] = 4
+    with pytest.raises(SlopekitError, match="stated exponent 4 != lcm of entry orders 2"):
+        JumpingLocusReport.from_json_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +502,7 @@ def test_hironaka_incomplete_scan_warning():
 def test_hironaka_factorization_test():
     # order-2 character at (1, 0) factors through Z2 x (1,0) but not Z3 x (1,0)
     entry = JumpEntry(TorsionCharacter(2, (1, 0)), 1)
-    report = JumpingLocusReport.build(None, 2, (entry,))
+    report = JumpingLocusReport(None, 2, (entry,))
     assert hironaka_b1(2, report, AbelianEpimorphism.cyclic(2, (1, 0))).b1 == 3
     assert hironaka_b1(2, report, AbelianEpimorphism.cyclic(3, (1, 0))).b1 == 2
     # the same character also factors through Z4 x (1, 0): order 2 divides 4
@@ -531,7 +534,7 @@ def test_coprime_examples():
         JumpEntry(TorsionCharacter(2, (1, 0)), 1),
         JumpEntry(TorsionCharacter(3, (0, 1)), 2),
     )
-    report = JumpingLocusReport.build(None, 2, entries)
+    report = JumpingLocusReport(None, 2, entries)
     assert report.exponent == 6
     result = coprime_cover_b1(2, report, 7, (1, 0))
     assert result.b1 == 2
@@ -542,7 +545,7 @@ def test_coprime_examples():
 
 
 def test_coprime_synthetic_order2():
-    report = JumpingLocusReport.build(
+    report = JumpingLocusReport(
         None, 2, (JumpEntry(TorsionCharacter(2, (1, 0)), 1),)
     )
     # d = 3 coprime to the exponent 2: no factorization possible
@@ -566,7 +569,7 @@ def random_synthetic_report(rng):
         xi = TorsionCharacter(m, tuple(exps))
         entries[xi] = JumpEntry(xi, rng.randint(1, 3))
     b1 = rng.randint(0, 4)
-    return JumpingLocusReport.build(None, b1, tuple(entries.values())), rank, b1
+    return JumpingLocusReport(None, b1, tuple(entries.values())), rank, b1
 
 
 def test_coprime_certificate_randomized():

@@ -86,7 +86,7 @@ def test_scan_renderers_match_their_oracles():
             character = TorsionCharacter(modulus, tuple(exponents))
             entries.append(JumpEntry(character, draw(st.integers(1, 10**4))))
         scan_bound = draw(st.none() | st.integers(1, 10**6))
-        return JumpingLocusReport.build(scan_bound, draw(st.integers(0, 10**3)), entries)
+        return JumpingLocusReport(scan_bound, draw(st.integers(0, 10**3)), entries)
 
     @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
     @hypothesis.given(reports())
