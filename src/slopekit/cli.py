@@ -118,10 +118,12 @@ def parse_presentation(source: str) -> GroupPresentation:
 def presentation_from_json_dict(data: Mapping) -> GroupPresentation:
     """JSON mirror of the text format: generator name list + relator token lists."""
     try:
-        names = list(data["generators"])
-        raw_relators = list(data["relators"])
+        names, raw_relators = data["generators"], data["relators"]
     except (KeyError, TypeError) as exc:
         raise PresentationParseError(f"presentation JSON needs generators and relators: {exc}")
+    for key, value in (("generators", names), ("relators", raw_relators)):
+        if not isinstance(value, (list, tuple)):
+            raise PresentationParseError(f"{key}: not a list: {value!r}")
     table = _generator_table(names, "generators")
     relators = []
     for i, rel in enumerate(raw_relators):
@@ -251,8 +253,8 @@ def _scan_text(report: JumpingLocusReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Density entries print from their certificate rows, picked into each template's
-# field order, in the bytes of `_json_text`; a certificate is never empty.
+# Density entries are their certificate rows; each template picks the 12 ints
+# into its field order, in the bytes of `_json_text`; a certificate is never empty.
 _DENSITY_JSON = '{\n  "entries": [\n%s\n  ],\n  "epsilon": "%d/%d"\n}\n'
 _DENSITY_JSON_ENTRY = (
     '    {\n      "d": %d,\n      "e": %d,\n      "gap": "%d/%d",\n      "k": %d,\n'
@@ -265,7 +267,7 @@ _DENSITY_TEXT_FIELDS = itemgetter(2, 3, 0, 1, 5, 6, 7, 8, 9, 10, 11)
 
 
 def _density_lines(template: str, fields: itemgetter, entries: Sequence) -> Iterator[str]:
-    return map(template.__mod__, map(fields, map(density_mod.certificate_row, entries)))
+    return map(template.__mod__, map(fields, entries))
 
 
 def _density_json(epsilon: Fraction, entries: Sequence[density_mod.ConvergenceReport]) -> str:

@@ -16,7 +16,9 @@ exactly at n and n - 1.  A density certificate instantiates one convergent
 family per Farey target of bounded denominator and checks, by integer
 cross-multiplication of numerators and denominators, that the achieved slopes
 leave no point of [8, 9] farther than epsilon away.  No floating point enters
-any comparison, and a Fraction is built only for a value that gets reported.
+any comparison.  An entry is the row of 12 integers that every output format
+prints; its TargetSlope, FamilyParams and Fractions are built only when a
+library caller reads the properties that name them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import IO, Callable, Iterator, Sequence
+from typing import IO, Callable, Iterator, NamedTuple, Sequence
 
 from .errors import SlopekitError
 from .surface_invariants import FamilyParams
@@ -101,9 +103,19 @@ def sequence_params(
     _check_family(exponent, fiber_genus)
     if n < 1:
         raise SlopekitError("sequence index must be >= 1")
-    d = n * exponent * (target.q - target.p) * (fiber_genus - 1) + 1
-    k = 2 * n * exponent * target.p
+    d, k = _member_indices(target.p, target.q, exponent, fiber_genus - 1, n)
     return FamilyParams(d=d, k=k, cover_exponent=exponent)
+
+
+def _member_indices(p: int, q: int, exponent: int, genus_less_one: int, n: int) -> tuple[int, int]:
+    """(d_n, k_n) of the n-th member aiming at 9 - p/q."""
+    return n * exponent * (q - p) * genus_less_one + 1, 2 * n * exponent * p
+
+
+def _family_slope_pair(d: int, k: int, genus_less_one: int) -> tuple[int, int]:
+    """The slope 9 - k (g_F - 1) / (2 d + k (g_F - 1)) as an unreduced (num, den)."""
+    weight = k * genus_less_one
+    return 18 * d + 8 * weight, 2 * d + weight
 
 
 def family_slope(params: FamilyParams, fiber_genus: int) -> Fraction:
@@ -115,19 +127,70 @@ def family_slope(params: FamilyParams, fiber_genus: int) -> Fraction:
     """
     if fiber_genus < 2:
         raise SlopekitError("fiber genus must be >= 2")
-    weight = params.k * (fiber_genus - 1)
-    return Fraction(18 * params.d + 8 * weight, 2 * params.d + weight)
+    return Fraction(*_family_slope_pair(params.d, params.k, fiber_genus - 1))
 
 
-@dataclass(frozen=True, slots=True)
-class ConvergenceReport:
-    """First family member within epsilon of its target, with the exact gap."""
+class ConvergenceReport(NamedTuple):
+    """First family member within epsilon of its target, with the exact gap.
 
-    target: TargetSlope
+    The fields are the 12 integers of CSV_HEADER, in that order: the target
+    p/q and its value 9 - p/q, the exponent e, the index n with its (d, k),
+    and the achieved slope and its gap to the target, both reduced.
+    """
+
+    p: int
+    q: int
+    target_num: int
+    target_den: int
+    e: int
     n: int
-    params: FamilyParams
-    achieved: Fraction
-    gap: Fraction
+    d: int
+    k: int
+    slope_num: int
+    slope_den: int
+    gap_num: int
+    gap_den: int
+
+    @property
+    def target(self) -> TargetSlope:
+        return TargetSlope(self.p, self.q)
+
+    @property
+    def params(self) -> FamilyParams:
+        return FamilyParams(self.d, self.k, self.e)
+
+    @property
+    def achieved(self) -> Fraction:
+        return Fraction(self.slope_num, self.slope_den)
+
+    @property
+    def gap(self) -> Fraction:
+        return Fraction(self.gap_num, self.gap_den)
+
+
+def _first_member(
+    p: int, q: int, exponent: int, genus_less_one: int, a: int, b: int
+) -> ConvergenceReport:
+    """convergence_report for epsilon = a/b, on arguments the caller has checked:
+    p/q reduced with 0 < p < q, a, b > 0, exponent >= 1 and g_F - 1 >= 1."""
+    n = -((a * q - p * b) // (a * q * q * exponent * genus_less_one))
+    if n < 1:
+        n = 1
+    value_num = 9 * q - p
+    for m in (n - 1, n) if n > 1 else (n,):
+        d, k = _member_indices(p, q, exponent, genus_less_one, m)
+        num, den = _family_slope_pair(d, k, genus_less_one)
+        gap_num = abs(num * q - value_num * den)
+        if (gap_num * b <= a * den * q) != (m == n):
+            raise SlopekitError(
+                f"closed form n={n} is not the first n with gap <= {Fraction(a, b)}"
+            )
+    common, gap_den = gcd(num, den), den * q
+    gap_common = gcd(gap_num, gap_den)
+    return ConvergenceReport(
+        p, q, value_num, q, exponent, n, d, k, num // common, den // common,
+        gap_num // gap_common, gap_den // gap_common,
+    )
 
 
 def convergence_report(
@@ -137,28 +200,18 @@ def convergence_report(
 
     The gap p / (q (n e q (g_F - 1) + 1)) is at most epsilon exactly when
     n >= (p b - a q) / (a q e q (g_F - 1)), so n* is an integer ceiling (at
-    least 1).  sequence_params and family_slope then verify n* exactly: the
-    gap is at most epsilon at n* and above it at n* - 1, else SlopekitError.
-    With N/D the achieved slope and v/q the target, gap <= a/b is checked as
-    |N q - v D| b <= a D q.
+    least 1).  It is verified through the slope itself: with N/D the achieved
+    slope and v/q the target, gap <= a/b reads |N q - v D| b <= a D q, which
+    must hold at n* and fail at n* - 1, else SlopekitError.
     """
     if not isinstance(epsilon, Fraction):
         epsilon = Fraction(epsilon)
-    a, b = epsilon.numerator, epsilon.denominator
-    if a <= 0:
+    if epsilon.numerator <= 0:
         raise SlopekitError("epsilon must be positive")
     _check_family(exponent, fiber_genus)
-    p, q = target.p, target.q
-    n = max(1, -((a * q - p * b) // (a * q * exponent * q * (fiber_genus - 1))))
-    value_num = 9 * q - p
-    for m in range(max(n - 1, 1), n + 1):
-        params = sequence_params(target, exponent, fiber_genus, m)
-        achieved = family_slope(params, fiber_genus)
-        den = achieved.denominator
-        gap_num = abs(achieved.numerator * q - value_num * den)
-        if (gap_num * b <= a * den * q) != (m == n):
-            raise SlopekitError(f"closed form n={n} is not the first n with gap <= {epsilon}")
-    return ConvergenceReport(target, n, params, achieved, Fraction(gap_num, den * q))
+    return _first_member(
+        target.p, target.q, exponent, fiber_genus - 1, epsilon.numerator, epsilon.denominator
+    )
 
 
 def _exceeds(x: Fraction, bound: Fraction) -> bool:
@@ -184,7 +237,7 @@ class DensityCertificate:
     Entries are sorted by target value.  Construction re-verifies that every
     entry gap is at most epsilon and that the covering radius of the
     achieved slopes over [8, 9] is at most epsilon.  Every check compares
-    integer numerators and denominators.
+    the integer numerators and denominators of the entry rows.
     """
 
     epsilon: Fraction
@@ -195,13 +248,14 @@ class DensityCertificate:
         entries = tuple(self.entries)
         if not entries:
             raise NetInfeasibleError("a certificate needs at least one entry")
-        targets = [entry.target.value_pair for entry in entries]
+        targets = [(entry.target_num, entry.target_den) for entry in entries]
         if any(n1 * d2 > n2 * d1 for (n1, d1), (n2, d2) in zip(targets, targets[1:])):
             key = _exact_key(targets)
             entries = tuple(e for _, e in sorted(zip(targets, entries), key=lambda te: key(te[0])))
         object.__setattr__(self, "entries", entries)
+        a, b = self.epsilon.numerator, self.epsilon.denominator
         for entry in entries:
-            if _exceeds(entry.gap, self.epsilon):
+            if entry.gap_num * b > a * entry.gap_den:
                 raise SlopekitError(f"entry gap {entry.gap} exceeds epsilon {self.epsilon}")
         radius = covering_radius(self)
         if _exceeds(radius, self.epsilon):
@@ -241,7 +295,7 @@ def _widest_gap(
 
 def covering_radius(certificate: DensityCertificate) -> Fraction:
     """Exact sup over [8, 9] of the distance to the achieved slopes."""
-    slopes = [(e.achieved.numerator, e.achieved.denominator) for e in certificate.entries]
+    slopes = [(e.slope_num, e.slope_den) for e in certificate.entries]
     slopes.sort(key=_exact_key(slopes))
     return _widest_gap(slopes)[0]
 
@@ -267,22 +321,25 @@ def density_certificate(
     if max_denominator < 1:
         raise SlopekitError("max denominator must be >= 1")
     half = epsilon / 2
-    targets = [TargetSlope(p, q) for p, q in _farey_pairs(max_denominator)]
-    targets.reverse()  # 9 - p/q ascends as p/q descends: now in value order
-    if not targets:
+    # Reduced pairs with 0 < p < q, as TargetSlope would store them.
+    pairs = list(_farey_pairs(max_denominator))
+    pairs.reverse()  # 9 - p/q ascends as p/q descends: now in value order
+    if not pairs:
         raise NetInfeasibleError(
             f"no reduced p/q with 0 < p < q <= {max_denominator}; "
             "largest uncovered gap is all of (8, 9), radius 1/2"
         )
-    worst_radius, worst_gap = _widest_gap([t.value_pair for t in targets])
+    worst_radius, worst_gap = _widest_gap([(9 * q - p, q) for p, q in pairs])
     if _exceeds(worst_radius, half):
         raise NetInfeasibleError(
             f"targets with q <= {max_denominator} are not an epsilon/2-net: "
             f"largest uncovered gap is ({worst_gap[0]}, {worst_gap[1]}) "
             f"with covering radius {worst_radius} > {half}"
         )
+    _check_family(exponent, fiber_genus)
+    a, b, genus_less_one = half.numerator, half.denominator, fiber_genus - 1
     entries = tuple(
-        convergence_report(t, exponent, fiber_genus, half) for t in targets
+        _first_member(p, q, exponent, genus_less_one, a, b) for p, q in pairs
     )
     return DensityCertificate(epsilon, entries)
 
@@ -295,17 +352,13 @@ CSV_HEADER = [
     "slope_num", "slope_den", "gap_num", "gap_den",
 ]
 
-# A row is the one description of an entry that csv, json and text output read.
+# An entry is itself the row that csv, json and text output read.
 _CSV_ROW = ",".join(["%d"] * len(CSV_HEADER)) + "\n"
 
 
 def certificate_row(entry: ConvergenceReport) -> tuple[int, ...]:
     """The entry as the 12 integers of CSV_HEADER, in that order."""
-    target, params = entry.target, entry.params
-    return (target.p, target.q, *target.value_pair,
-            params.cover_exponent or 1, entry.n, params.d, params.k,
-            entry.achieved.numerator, entry.achieved.denominator,
-            entry.gap.numerator, entry.gap.denominator)
+    return tuple(entry)
 
 
 def certificate_rows(entries: Sequence[ConvergenceReport]) -> list[tuple[int, ...]]:
@@ -319,7 +372,7 @@ def write_certificate_csv(
         entries = entries.entries
     stream.write(",".join(CSV_HEADER) + "\n")
     # streamed, one row at a time
-    stream.writelines(map(_CSV_ROW.__mod__, map(certificate_row, entries)))
+    stream.writelines(map(_CSV_ROW.__mod__, entries))
 
 
 def write_slope_svg(entries: Sequence[ConvergenceReport], stream: IO[str]) -> None:

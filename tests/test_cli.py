@@ -314,6 +314,9 @@ def test_binary_input_is_an_error(capsys, tmp_path):
         ({"generators": [1], "relators": []}, "generators: generator names"),
         ({"generators": [["a"]], "relators": []}, "generators: generator names"),
         ({"generators": ["a"], "relators": [[["a"]]]}, "relator 1: invalid token ['a']"),
+        # read letter by letter, "abAB" would be four relators and the trivial group
+        ({"generators": ["a", "b"], "relators": "abAB"}, "relators: not a list: 'abAB'"),
+        ({"generators": "ab", "relators": [["a", "b", "A", "B"]]}, "generators: not a list: 'ab'"),
     ],
 )
 @pytest.mark.parametrize("subcommand", [["abelianize"], ["scan", "--max-order", "2"]])

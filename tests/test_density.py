@@ -170,6 +170,61 @@ def test_closed_form_matches_walk():
     check()
 
 
+def _reference_row(target, exponent, fiber_genus, epsilon):
+    """The row of the least n with gap <= epsilon, by the Fraction route.
+
+    The gap falls strictly with n, so n is found by doubling and bisection
+    over sequence_params + family_slope, without the closed form for n.
+    """
+    low, high = 0, 1  # gap(low) > epsilon unless low = 0; gap(high) <= epsilon
+    while _gap(target, exponent, fiber_genus, high) > epsilon:
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        if _gap(target, exponent, fiber_genus, mid) <= epsilon:
+            high = mid
+        else:
+            low = mid
+    params = sequence_params(target, exponent, fiber_genus, high)
+    slope = family_slope(params, fiber_genus)
+    gap = abs(slope - target.value)
+    return (target.p, target.q, *target.value_pair, exponent, high, params.d, params.k,
+            slope.numerator, slope.denominator, gap.numerator, gap.denominator)
+
+
+def test_integer_rows_match_the_fraction_route():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    target = st.integers(2, 10**4).flatmap(
+        lambda q: st.builds(TargetSlope, st.integers(1, q - 1), st.just(q)))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(target, st.integers(1, 6), st.integers(2, 40),
+                      st.fractions(Fraction(1, 10**9), 2, max_denominator=10**10))
+    def check_report(target, e, g_f, epsilon):
+        report = convergence_report(target, e, g_f, epsilon)
+        assert tuple(report) == _reference_row(target, e, g_f, epsilon)
+        assert report.target == target
+        assert report.params == sequence_params(target, e, g_f, report.n)
+        assert report.achieved == family_slope(report.params, g_f)
+        assert report.gap == abs(report.achieved - target.value)
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(2, 40), st.integers(1, 6), st.integers(2, 40),
+                      st.fractions(0, 2, max_denominator=1000))
+    def check_certificate(q_max, e, g_f, slack):
+        epsilon = Fraction(2, q_max) + slack  # the Farey end gaps have radius 1/Q
+        cert = density_certificate(epsilon, e, g_f, q_max)
+        assert [(entry.p, entry.q) for entry in cert.entries] == [
+            (f.numerator, f.denominator) for f in reversed(list(farey_fractions(q_max)))]
+        for entry in cert.entries:
+            assert entry == convergence_report(TargetSlope(entry.p, entry.q), e, g_f, epsilon / 2)
+
+    check_report()
+    check_certificate()
+
+
 def test_closed_form_at_one_billionth(capsys):
     # The walk would take 13,888,889 steps here.
     epsilon = Fraction(1, 10**9)
@@ -212,10 +267,29 @@ def test_bad_exponent_is_one_json_error(capsys, exponent, goal):
 ])
 def test_closed_form_check_rejects_a_wrong_slope(monkeypatch, fake_gap):
     monkeypatch.setattr(
-        "slopekit.density.family_slope", lambda params, g: Fraction(17, 2) + fake_gap(params.d)
+        "slopekit.density._family_slope_pair",
+        lambda d, k, g1: (Fraction(17, 2) + fake_gap(d)).as_integer_ratio(),
     )
     with pytest.raises(SlopekitError, match="closed form n=14"):
         convergence_report(TargetSlope(1, 2), 1, 19, Fraction(1, 1000))
+
+
+@pytest.mark.parametrize("fake", [
+    # one more than the family slope: the gap at n* exceeds epsilon
+    lambda slope_pair, d, k, g1: (lambda num, den: (num + den, den))(*slope_pair(d, k, g1)),
+    # d - 1 in place of d gives 9 - p/q itself: n* - 1 is already within epsilon
+    lambda slope_pair, d, k, g1: slope_pair(d - 1, k, g1),
+])
+def test_certificate_rejects_a_wrong_slope(monkeypatch, fake):
+    from slopekit import density
+
+    slope_pair = density._family_slope_pair
+    monkeypatch.setattr(density, "_family_slope_pair",
+                        lambda d, k, g1: fake(slope_pair, d, k, g1))
+    # with g_F = 2 the target 1/2 needs n* = 2 at epsilon/2 = 1/8
+    message = r"^closed form n=\d+ is not the first n with gap <= 1/8$"
+    with pytest.raises(SlopekitError, match=message):
+        density_certificate(Fraction(1, 4), 1, 2, 8)
 
 
 def test_certificate_quarter_eighth():
@@ -316,7 +390,8 @@ def test_widest_gap_and_covering_radius_match_fractions():
         pairs = [(v.numerator * scale, v.denominator * scale) for v in sorted(values)]
         assert _widest_gap(pairs) == expected
         entries = [
-            ConvergenceReport(TargetSlope(1, 2), 1, FamilyParams(1, 1), v, abs(v - Fraction(17, 2)))
+            ConvergenceReport(1, 2, 17, 2, 1, 1, 1, 1, *v.as_integer_ratio(),
+                              *abs(v - Fraction(17, 2)).as_integer_ratio())
             for v in values
         ]
         assert covering_radius(DensityCertificate(Fraction(1), entries)) == expected[0]
@@ -349,7 +424,6 @@ def test_certificate_sorts_shuffled_entries():
 def test_certificate_accepts_bounds_equal_to_epsilon():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    from dataclasses import replace
 
     @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
     @hypothesis.given(st.integers(2, 30), st.integers(1, 3), st.data())
@@ -364,9 +438,10 @@ def test_certificate_accepts_bounds_equal_to_epsilon():
         # an entry gap equal to epsilon is accepted, a wider one is not
         i = data.draw(st.integers(0, len(cert.entries) - 1))
         entries = list(cert.entries)
-        entries[i] = replace(entries[i], gap=radius)
+        entries[i] = entries[i]._replace(gap_num=radius.numerator, gap_den=radius.denominator)
         DensityCertificate(radius, entries)
-        entries[i] = replace(entries[i], gap=radius + Fraction(1, 10**12))
+        wider = radius + Fraction(1, 10**12)
+        entries[i] = entries[i]._replace(gap_num=wider.numerator, gap_den=wider.denominator)
         with pytest.raises(SlopekitError, match="exceeds epsilon"):
             DensityCertificate(radius, entries)
 

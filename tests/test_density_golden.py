@@ -1,4 +1,4 @@
-"""Byte identity of `density` stdout, pinned by SHA-256.
+"""Byte identity of `density` stdout and `--plot` files, pinned by SHA-256.
 
 The first digests were taken from the output of the implementation that
 compared `Fraction`s throughout; the integer cross-multiplied checks must
@@ -6,6 +6,7 @@ print the same bytes.  The later ones were taken from the renderers that
 built a dict per entry for `_json_text`, formatted text with f-strings and
 wrote CSV with `csv.writer`; those renderers stay below as the oracles of
 the one-pass templates, which print every format from the certificate rows.
+The SVG digests were taken while entries still held `Fraction` slopes.
 """
 
 import csv
@@ -57,6 +58,22 @@ def test_density_stdout_is_byte_identical(capsys, argv, digest):
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
     assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
+
+
+SVG_GOLDEN = [
+    (["--epsilon", "1/10", "--max-denominator", "20", "--exponent", "2"],
+     "ae5f7e8671623e395f0d3d496c576fad6e7f44f29eeb77d7e740b782a4b45a74"),
+    (["--epsilon", "1/99999", "--target", "3/7"],
+     "525a676b6b3c9608d8c7b9d53c39160ed9c721552679f1148c6c7472ffe6ff8c"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", SVG_GOLDEN, ids=[" ".join(a) for a, _ in SVG_GOLDEN])
+def test_density_plot_is_byte_identical(capsys, tmp_path, argv, digest):
+    plot = tmp_path / "slopes.svg"
+    code = main(["density", *argv, "--plot", str(plot), "--format", "csv"])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert hashlib.sha256(plot.read_bytes()).hexdigest() == digest
 
 
 def _old_density_json(epsilon, entries):
