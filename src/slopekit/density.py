@@ -235,8 +235,9 @@ class DensityCertificate:
     """Achieved slopes forming an epsilon-net of [8, 9], exactly.
 
     Entries are sorted by target value.  Construction re-verifies that every
-    entry gap is at most epsilon and that the covering radius of the
-    achieved slopes over [8, 9] is at most epsilon.  Every check compares
+    entry gap is the distance |slope - target| of its own row and at most
+    epsilon, and that the covering radius of the achieved slopes over
+    [8, 9] is at most epsilon.  Every check compares
     the integer numerators and denominators of the entry rows.
     """
 
@@ -248,15 +249,28 @@ class DensityCertificate:
         entries = tuple(self.entries)
         if not entries:
             raise NetInfeasibleError("a certificate needs at least one entry")
-        targets = [(entry.target_num, entry.target_den) for entry in entries]
-        if any(n1 * d2 > n2 * d1 for (n1, d1), (n2, d2) in zip(targets, targets[1:])):
+        # One pass over the rows checks each gap and notes whether the
+        # targets already ascend.
+        a, b = self.epsilon.numerator, self.epsilon.denominator
+        ascending = True
+        last_num, last_den = entries[0].target_num, entries[0].target_den
+        for entry in entries:
+            _, _, t_num, t_den, _, _, _, _, s_num, s_den, gap_num, gap_den = entry
+            if gap_num * s_den * t_den != gap_den * abs(s_num * t_den - t_num * s_den):
+                raise SlopekitError(
+                    f"entry for target 9 - {entry.p}/{entry.q} states gap {entry.gap}, "
+                    f"not |{entry.achieved} - {t_num}/{t_den}|"
+                )
+            if gap_num * b > a * gap_den:
+                raise SlopekitError(f"entry gap {entry.gap} exceeds epsilon {self.epsilon}")
+            if last_num * t_den > t_num * last_den:
+                ascending = False
+            last_num, last_den = t_num, t_den
+        if not ascending:
+            targets = [(entry.target_num, entry.target_den) for entry in entries]
             key = _exact_key(targets)
             entries = tuple(e for _, e in sorted(zip(targets, entries), key=lambda te: key(te[0])))
         object.__setattr__(self, "entries", entries)
-        a, b = self.epsilon.numerator, self.epsilon.denominator
-        for entry in entries:
-            if entry.gap_num * b > a * entry.gap_den:
-                raise SlopekitError(f"entry gap {entry.gap} exceeds epsilon {self.epsilon}")
         radius = covering_radius(self)
         if _exceeds(radius, self.epsilon):
             raise SlopekitError(

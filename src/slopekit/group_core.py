@@ -16,7 +16,7 @@ Everything here is pure and immutable; no floating point is used anywhere.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -123,6 +123,9 @@ class GroupPresentation:
 
     generator_count: int
     relators: tuple[Word, ...] = ()
+    # Presentations key the per-presentation caches, which are consulted once
+    # per character in a scan; the hash is taken once, at construction.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.generator_count < 0:
@@ -134,6 +137,10 @@ class GroupPresentation:
                     f"relator {w.letters} exceeds generator range 1..{self.generator_count}"
                 )
         object.__setattr__(self, "relators", words)
+        object.__setattr__(self, "_hash", hash((self.generator_count, words)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def relator_count(self) -> int:

@@ -55,7 +55,6 @@ from .errors import SlopekitError
 from .group_core import (
     GroupPresentation,
     LaurentPolynomial,
-    Word,
     free_abelianization,
 )
 
@@ -283,20 +282,8 @@ class TorsionCharacter:
 # Evaluation of the Alexander matrix at a character
 
 
-def _character_shifts(presentation: GroupPresentation, character: TorsionCharacter) -> list[int]:
-    """Exponent of the character's value on each generator, after checking
-    the character's rank against the free abelianization."""
-    fa = free_abelianization(presentation)
-    if character.rank != fa.rank:
-        raise CharacterDomainError(
-            f"character has rank {character.rank}, free abelianization has rank {fa.rank}"
-        )
-    exps, m = character.exponents, character.modulus
-    return [sum(map(operator.mul, image, exps)) % m for image in fa.generator_images]
-
-
 def _fox_row_at_character(
-    relator: Word,
+    relator: Sequence[int],
     shifts: Sequence[int],
     generator_count: int,
     modulus: int,
@@ -334,10 +321,11 @@ def evaluate_alexander_matrix(
     the trivial character this returns the integer exponent matrix,
     relators as rows.
     """
-    shifts = _character_shifts(presentation, character)
+    evaluator = _evaluator(presentation)
+    shifts = evaluator.shifts(character)
     return [
-        _fox_row_at_character(rel, shifts, presentation.generator_count, character.modulus)
-        for rel in presentation.relators
+        _fox_row_at_character(letters, shifts, evaluator.generator_count, character.modulus)
+        for letters in evaluator.relators
     ]
 
 
@@ -422,7 +410,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+# Bounded: a scan asks for the moduli in ascending order, all characters of
+# one modulus together, so eviction never forces a recomputation within a
+# scan, and a long-lived process does not keep an m-entry tuple for every
+# modulus it has seen.
+@lru_cache(maxsize=64)
 def _fp_root_powers(m: int) -> tuple[int, tuple[int, ...]]:
     """The least prime p > 2**30 with p = 1 (mod m), and the powers
     omega**k mod p (0 <= k < m) of an element omega of exact order m.
@@ -443,23 +435,6 @@ def _fp_root_powers(m: int) -> tuple[int, tuple[int, ...]]:
             return p, tuple(powers)
 
 
-def _fox_row_mod_p(
-    relator: Word, shifts: Sequence[int], generator_count: int, powers: Sequence[int], p: int
-) -> list[int]:
-    """The Fox row of one relator at a character, mapped to F_p by zeta_m -> omega."""
-    m = len(powers)
-    row = [0] * generator_count
-    s = 0
-    for letter in relator:
-        if letter > 0:
-            row[letter - 1] += powers[s]
-            s = (s + shifts[letter - 1]) % m
-        else:
-            s = (s - shifts[-letter - 1]) % m
-            row[-letter - 1] -= powers[s]
-    return [x % p for x in row]
-
-
 def _rank_mod_p(rows: list[list[int]], p: int, bound: int) -> int:
     """Rank over F_p of rows with entries in range(p), counted up to bound;
     the rows are consumed."""
@@ -478,6 +453,77 @@ def _rank_mod_p(rows: list[list[int]], p: int, bound: int) -> int:
                 f = row[col] * inverse % p
                 rows[i] = [(x - f * y) % p for x, y in zip(row, prow)]
     return rank
+
+
+class _Evaluator:
+    """Everything h^1 needs from one presentation, computed once.
+
+    Holds the free rank and generator images of the free abelianization,
+    the relator letter tuples, g and the rank bound min(r, g - 1); the
+    presentation itself is kept for the exact fallback.  Reached through
+    _evaluator, so a scan shares one evaluator across all its characters.
+    """
+
+    __slots__ = ("presentation", "rank", "images", "relators", "generator_count", "bound")
+
+    def __init__(self, presentation: GroupPresentation):
+        fa = free_abelianization(presentation)
+        g = presentation.generator_count
+        self.presentation = presentation
+        self.rank = fa.rank
+        # None when the images are the standard basis (surface, free and
+        # commutator-relator groups): the shifts are then the exponents.
+        identity = tuple(tuple(int(i == j) for i in range(g)) for j in range(g))
+        self.images = None if fa.generator_images == identity else fa.generator_images
+        self.relators = tuple(word.letters for word in presentation.relators)
+        self.generator_count = g
+        self.bound = min(len(self.relators), g - 1)
+
+    def shifts(self, character: TorsionCharacter) -> Sequence[int]:
+        """Exponent of the character's value on each generator, after checking
+        the character's rank against the free abelianization."""
+        exps = character.exponents
+        if len(exps) != self.rank:
+            raise CharacterDomainError(
+                f"character has rank {len(exps)}, free abelianization has rank {self.rank}"
+            )
+        if self.images is None:
+            return exps  # canonical exponents lie in range(modulus)
+        m = character.modulus
+        return [sum(map(operator.mul, image, exps)) % m for image in self.images]
+
+    def h1(self, character: TorsionCharacter) -> int:
+        """twisted_h1 at the character: the F_p certificate, else Z[zeta_m]."""
+        shifts = self.shifts(character)
+        m = character.modulus
+        if m == 1:
+            return self.rank
+        g, bound = self.generator_count, self.bound
+        p, powers = _fp_root_powers(m)
+        rows = []
+        for relator in self.relators:
+            # the Fox row of one relator, mapped to F_p by zeta_m -> omega
+            row = [0] * g
+            s = 0
+            for letter in relator:
+                if letter > 0:
+                    row[letter - 1] += powers[s]
+                    s = (s + shifts[letter - 1]) % m
+                else:
+                    s = (s - shifts[-letter - 1]) % m
+                    row[-letter - 1] -= powers[s]
+            rows.append([x % p for x in row])
+        rank = _rank_mod_p(rows, p, bound)
+        if rank < bound:
+            rank = cyclotomic_rank(evaluate_alexander_matrix(self.presentation, character))
+        return g - 1 - rank
+
+
+# Bounded like free_abelianization: one command revisits only the few
+# presentations it is working on.
+@lru_cache(maxsize=32)
+def _evaluator(presentation: GroupPresentation) -> _Evaluator:
+    return _Evaluator(presentation)
 
 
 def twisted_h1(presentation: GroupPresentation, character: TorsionCharacter) -> int:
@@ -502,17 +548,7 @@ def twisted_h1(presentation: GroupPresentation, character: TorsionCharacter) -> 
     the bound's size - the rank comes from fraction-free elimination of
     A(xi) over Z[zeta_m].
     """
-    shifts = _character_shifts(presentation, character)
-    if character.is_trivial():
-        return character.rank
-    g = presentation.generator_count
-    bound = min(len(presentation.relators), g - 1)
-    p, powers = _fp_root_powers(character.modulus)
-    rows = [_fox_row_mod_p(rel, shifts, g, powers, p) for rel in presentation.relators]
-    rank = _rank_mod_p(rows, p, bound)
-    if rank < bound:
-        rank = cyclotomic_rank(evaluate_alexander_matrix(presentation, character))
-    return g - 1 - rank
+    return _evaluator(presentation).h1(character)
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +612,20 @@ class JumpingLocusReport:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "exponent", exponent_of(entries))
 
+    @classmethod
+    def _from_scan(
+        cls, scan_bound: int, b1: int, entries: tuple[JumpEntry, ...], exponent: int
+    ) -> "JumpingLocusReport":
+        """Wrap a scan's entries without re-checking them: nontrivial, of depth
+        >= 1, in canonical (order, exponents) order, with their lcm computed
+        by the scan."""
+        report = object.__new__(cls)
+        object.__setattr__(report, "scan_bound", scan_bound)
+        object.__setattr__(report, "b1", b1)
+        object.__setattr__(report, "entries", entries)
+        object.__setattr__(report, "exponent", exponent)
+        return report
+
     def characters_with_depth_at_least(self, depth: int) -> tuple[TorsionCharacter, ...]:
         """W_depth as a character tuple; the free rank equals b1, so the
         trivial character has rank b1."""
@@ -633,13 +683,16 @@ def scan_jumping_loci(presentation: GroupPresentation, max_order: int) -> Jumpin
     """
     if max_order < 1:
         raise ValueError("scan bound must be >= 1")
-    fa = free_abelianization(presentation)
+    rank = _evaluator(presentation).rank
     entries = []
-    for xi in _enumerate_characters(fa.rank, max_order):
+    exponent = 1
+    for xi in _enumerate_characters(rank, max_order):
         depth = twisted_h1(presentation, xi)
         if depth >= 1:
             entries.append(JumpEntry(xi, depth))
-    return JumpingLocusReport(max_order, fa.rank, entries)
+            if exponent % xi.modulus:
+                exponent = lcm(exponent, xi.modulus)
+    return JumpingLocusReport._from_scan(max_order, rank, tuple(entries), exponent)
 
 
 # ---------------------------------------------------------------------------

@@ -430,19 +430,29 @@ def test_certificate_accepts_bounds_equal_to_epsilon():
     def check(q_max, exponent, data):
         cert = density_certificate(Fraction(2, q_max), exponent, 19, q_max)
         radius = covering_radius(cert)
-        assert max(entry.gap for entry in cert.entries) <= radius
+        largest = max(entry.gap for entry in cert.entries)
+        assert largest <= radius
         # the covering radius equal to epsilon is accepted, anything below it is not
         assert DensityCertificate(radius, cert.entries).entries == cert.entries
         with pytest.raises(SlopekitError, match="cover \\[8, 9\\] only to radius"):
             DensityCertificate(radius - Fraction(1, 10**12), cert.entries)
-        # an entry gap equal to epsilon is accepted, a wider one is not
+        # an entry gap equal to epsilon passes the per-entry check, which runs
+        # before the radius check; a true gap wider than epsilon does not
+        if largest < radius:
+            with pytest.raises(SlopekitError, match="cover \\[8, 9\\] only to radius"):
+                DensityCertificate(largest, cert.entries)
+        with pytest.raises(SlopekitError, match="exceeds epsilon"):
+            DensityCertificate(largest - Fraction(1, 10**12), cert.entries)
+        # a row whose stated gap is not its own |slope - target| is refused,
+        # even when the stated gap is within epsilon
         i = data.draw(st.integers(0, len(cert.entries) - 1))
         entries = list(cert.entries)
         entries[i] = entries[i]._replace(gap_num=radius.numerator, gap_den=radius.denominator)
-        DensityCertificate(radius, entries)
-        wider = radius + Fraction(1, 10**12)
-        entries[i] = entries[i]._replace(gap_num=wider.numerator, gap_den=wider.denominator)
-        with pytest.raises(SlopekitError, match="exceeds epsilon"):
+        if entries[i].gap != cert.entries[i].gap:
+            with pytest.raises(SlopekitError, match="states gap"):
+                DensityCertificate(radius, entries)
+        entries[i] = entries[i]._replace(gap_num=0, gap_den=1)
+        with pytest.raises(SlopekitError, match="states gap 0, not"):
             DensityCertificate(radius, entries)
 
     check()

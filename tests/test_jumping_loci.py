@@ -15,6 +15,7 @@ from slopekit.group_core import (
     GroupPresentation,
     alexander_matrix,
     cyclic_group,
+    free_abelianization,
     free_group,
     surface_group,
     torus_group,
@@ -323,6 +324,10 @@ def test_fp_root_table():
         assert phi_at_omega % p == 0
 
 
+def test_fp_root_table_is_bounded():
+    assert _fp_root_powers.cache_info().maxsize is not None
+
+
 def test_twisted_h1_falls_back_when_p_divides_a_minor(monkeypatch):
     # <a, b | a^7 b a^-7 b^-1> at a -> 1, b -> zeta_3: the Fox row is
     # (7 (1 - zeta_3), 0), of rank 1 over Q(zeta_3) but 0 mod 7.
@@ -426,6 +431,96 @@ def test_scan_deduplicates_characters():
         assert entry.character not in seen
         seen.add(entry.character)
         assert entry.character.modulus == entry.character.order  # canonical
+
+
+def _jordan_totient(rank, m):
+    """J_rank(m) = m^rank prod_{p | m} (1 - p^-rank), the number of characters
+    of Z^rank of exact order m."""
+    result, n, p = m**rank, m, 2
+    while n > 1:
+        if n % p == 0:
+            result = result // p**rank * (p**rank - 1)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return result
+
+
+@pytest.mark.parametrize(
+    ("presentation", "rank", "bound", "expected"),
+    [(surface_group(2), 4, 2, 15), (surface_group(2), 4, 8, 8399), (torus_group(), 2, 6, 71)],
+)
+def test_scan_calls_twisted_h1_once_per_canonical_character(
+    monkeypatch, presentation, rank, bound, expected
+):
+    assert sum(_jordan_totient(rank, m) for m in range(2, bound + 1)) == expected
+    original = jumping_loci.twisted_h1
+    seen = []
+
+    def counted(group, xi):
+        seen.append((xi.modulus, xi.exponents))
+        return original(group, xi)
+
+    monkeypatch.setattr(jumping_loci, "twisted_h1", counted)
+    scan_jumping_loci(presentation, bound)
+    assert len(seen) == len(set(seen)) == expected
+    assert seen == sorted(seen)
+    assert all(gcd(m, *exps) == 1 and max(exps) < m for m, exps in seen)
+
+
+def test_scan_report_matches_public_constructor_and_exact_ranks():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def presentation_and_bound(draw):
+        gens = draw(st.integers(1, 4))
+        letters = st.integers(1, gens).flatmap(lambda i: st.sampled_from((i, -i)))
+        words = draw(st.lists(st.lists(letters, min_size=1, max_size=10), min_size=1, max_size=3))
+        return GroupPresentation(gens, tuple(tuple(w) for w in words)), draw(st.integers(2, 4))
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(presentation_and_bound())
+    def check(case):
+        presentation, bound = case
+        report = scan_jumping_loci(presentation, bound)
+        public = JumpingLocusReport(bound, report.b1, report.entries)
+        assert report == public
+        assert report.entries == public.entries and report.exponent == public.exponent
+        depths = {e.character: e.depth for e in report.entries}
+        g = presentation.generator_count
+        for xi in _enumerate_characters(report.b1, bound):
+            exact = g - 1 - cyclotomic_rank(evaluate_alexander_matrix(presentation, xi))
+            assert depths.get(xi, 0) == twisted_h1(presentation, xi) == exact
+
+    check()
+
+
+def test_twisted_h1_alternating_presentations_matches_fresh_evaluation():
+    genus2 = surface_group(2)
+    twin = GroupPresentation(4, ((1, 2, -1, -2, 3, 4, -3, -4),))
+    assert twin == genus2 and twin is not genus2
+    # (presentation, scan bound): the trefoil jumps at order 6, and the last
+    # group has generator images other than the standard basis
+    presentations = [
+        (genus2, 3),
+        (twin, 3),
+        (torus_group(), 6),
+        (trefoil_group(), 6),
+        (GroupPresentation(3, ((1, 1, 2, -1, -2), (3, 1, -3, -1))), 6),
+    ]
+    cases = []
+    for presentation, bound in presentations:
+        rank = free_abelianization(presentation).rank
+        cases += [(presentation, xi) for xi in _enumerate_characters(rank, bound)]
+    fresh = [jumping_loci._Evaluator(presentation).h1(xi) for presentation, xi in cases]
+    order = list(range(len(cases))) * 2
+    random.Random(0).shuffle(order)
+    for i in order:
+        assert twisted_h1(*cases[i]) == fresh[i]
+        # a character of another presentation's rank is refused, whatever ran before
+        with pytest.raises(CharacterDomainError, match="free abelianization has rank 2"):
+            twisted_h1(torus_group(), TorsionCharacter(2, (1, 0, 0, 0)))
 
 
 def test_report_json_roundtrip():
