@@ -471,10 +471,7 @@ class _Evaluator:
         g = presentation.generator_count
         self.presentation = presentation
         self.rank = fa.rank
-        # None when the images are the standard basis (surface, free and
-        # commutator-relator groups): the shifts are then the exponents.
-        identity = tuple(tuple(int(i == j) for i in range(g)) for j in range(g))
-        self.images = None if fa.generator_images == identity else fa.generator_images
+        self.images = fa.generator_images
         self.relators = tuple(word.letters for word in presentation.relators)
         self.generator_count = g
         self.bound = min(len(self.relators), g - 1)
@@ -487,8 +484,6 @@ class _Evaluator:
             raise CharacterDomainError(
                 f"character has rank {len(exps)}, free abelianization has rank {self.rank}"
             )
-        if self.images is None:
-            return exps  # canonical exponents lie in range(modulus)
         m = character.modulus
         return [sum(map(operator.mul, image, exps)) % m for image in self.images]
 
@@ -612,20 +607,6 @@ class JumpingLocusReport:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "exponent", exponent_of(entries))
 
-    @classmethod
-    def _from_scan(
-        cls, scan_bound: int, b1: int, entries: tuple[JumpEntry, ...], exponent: int
-    ) -> "JumpingLocusReport":
-        """Wrap a scan's entries without re-checking them: nontrivial, of depth
-        >= 1, in canonical (order, exponents) order, with their lcm computed
-        by the scan."""
-        report = object.__new__(cls)
-        object.__setattr__(report, "scan_bound", scan_bound)
-        object.__setattr__(report, "b1", b1)
-        object.__setattr__(report, "entries", entries)
-        object.__setattr__(report, "exponent", exponent)
-        return report
-
     def characters_with_depth_at_least(self, depth: int) -> tuple[TorsionCharacter, ...]:
         """W_depth as a character tuple; the free rank equals b1, so the
         trivial character has rank b1."""
@@ -685,14 +666,11 @@ def scan_jumping_loci(presentation: GroupPresentation, max_order: int) -> Jumpin
         raise ValueError("scan bound must be >= 1")
     rank = _evaluator(presentation).rank
     entries = []
-    exponent = 1
     for xi in _enumerate_characters(rank, max_order):
         depth = twisted_h1(presentation, xi)
         if depth >= 1:
             entries.append(JumpEntry(xi, depth))
-            if exponent % xi.modulus:
-                exponent = lcm(exponent, xi.modulus)
-    return JumpingLocusReport._from_scan(max_order, rank, tuple(entries), exponent)
+    return JumpingLocusReport(max_order, rank, tuple(entries))
 
 
 # ---------------------------------------------------------------------------
