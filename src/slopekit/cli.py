@@ -306,7 +306,7 @@ def _cmd_abelianize(args: argparse.Namespace) -> int:
 
 
 def _cmd_alexander(args: argparse.Namespace) -> int:
-    character = _parse_char(args.char) if args.char else None
+    character = args.char
     presentation = load_presentation(args.input)
     if character is not None:
         rows = evaluate_alexander_matrix(presentation, character)
@@ -371,7 +371,7 @@ def _cmd_cover_b1(args: argparse.Namespace) -> int:
     alpha = _build_epimorphism(args, fa.rank)
     # Scanning to the deck group's exponent makes the jumping-locus route complete.
     report = scan_jumping_loci(presentation, alpha.exponent)
-    hironaka = hironaka_b1(fa.rank, report, alpha)
+    hironaka = hironaka_b1(report, alpha)
     schreier = subgroup_b1(presentation, alpha)
     agree = hironaka.b1 == schreier
     result = {
@@ -537,7 +537,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Flag values converted after parsing, so that a bad one is a JSON error (exit 2)
 # rather than an argparse usage message.
-_CONVERTERS = {"weights": _parse_weights, "epsilon": _parse_fraction, "target": _parse_target}
+_CONVERTERS = {
+    "weights": _parse_weights,
+    "char": _parse_char,
+    "epsilon": _parse_fraction,
+    "target": _parse_target,
+}
 
 
 def main(argv: Sequence[str] | None = None) -> int:

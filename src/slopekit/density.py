@@ -370,15 +370,6 @@ CSV_HEADER = [
 _CSV_ROW = ",".join(["%d"] * len(CSV_HEADER)) + "\n"
 
 
-def certificate_row(entry: ConvergenceReport) -> tuple[int, ...]:
-    """The entry as the 12 integers of CSV_HEADER, in that order."""
-    return tuple(entry)
-
-
-def certificate_rows(entries: Sequence[ConvergenceReport]) -> list[tuple[int, ...]]:
-    return list(map(certificate_row, entries))
-
-
 def write_certificate_csv(
     entries: "DensityCertificate | Sequence[ConvergenceReport]", stream: IO[str]
 ) -> None:

@@ -122,14 +122,6 @@ class CyclotomicNumber:
     # -- constructors
 
     @classmethod
-    def _from_residue(cls, modulus: int, coeffs: tuple[int, ...]) -> "CyclotomicNumber":
-        """Wrap a canonical residue (length phi(m), ints) without re-checking it."""
-        number = object.__new__(cls)
-        number.modulus = modulus
-        number.coeffs = coeffs
-        return number
-
-    @classmethod
     def from_root_powers(cls, modulus: int, powers: Mapping[int, int]) -> "CyclotomicNumber":
         """Integer combination sum(coeff * zeta_m**power).
 
@@ -189,23 +181,17 @@ def _product(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _reduction_terms(modulus: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """deg Phi_m and the (offset, coefficient) pairs of its nonzero lower terms."""
-    phi_poly = cyclotomic_polynomial(modulus)
-    deg = len(phi_poly) - 1
-    return deg, tuple((k - deg, a) for k, a in enumerate(phi_poly[:deg]) if a)
-
-
 def _reduce_mod_cyclotomic(modulus: int, vec: list[int]) -> list[int]:
     """Residue of a coefficient vector mod Phi_m (monic), reducing in place."""
-    deg, terms = _reduction_terms(modulus)
+    phi_poly = cyclotomic_polynomial(modulus)
+    deg = len(phi_poly) - 1
+    lower = phi_poly[:deg]
     for i in range(len(vec) - 1, deg - 1, -1):
         c = vec[i]
         if c:
-            vec[i] = 0
-            for offset, a in terms:
-                vec[i + offset] -= c * a
+            for k, a in enumerate(lower, i - deg):
+                if a:
+                    vec[k] -= c * a
     return vec[:deg]
 
 
@@ -304,10 +290,7 @@ def _fox_row_at_character(
         else:
             s = (s - shifts[-letter - 1]) % modulus
             vecs[-letter - 1][s] -= 1
-    return [
-        CyclotomicNumber._from_residue(modulus, tuple(_reduce_mod_cyclotomic(modulus, vec)))
-        for vec in vecs
-    ]
+    return [CyclotomicNumber(modulus, vec) for vec in vecs]
 
 
 def evaluate_alexander_matrix(
@@ -604,6 +587,10 @@ class JumpingLocusReport:
                 raise SlopekitError("the trivial character is tracked by b1, not by entries")
             if entry.depth < 1:
                 raise SlopekitError("entries must have depth >= 1")
+            if entry.character.rank != self.b1:
+                raise CharacterDomainError(
+                    f"entry character rank {entry.character.rank} does not match b1 {self.b1}"
+                )
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "exponent", exponent_of(entries))
 
@@ -664,13 +651,15 @@ def scan_jumping_loci(presentation: GroupPresentation, max_order: int) -> Jumpin
     """
     if max_order < 1:
         raise ValueError("scan bound must be >= 1")
-    rank = _evaluator(presentation).rank
+    # The cached evaluator's own presentation, so that every twisted_h1 lookup
+    # hits its cache by identity even when the caller passed an equal twin.
+    evaluator = _evaluator(presentation)
     entries = []
-    for xi in _enumerate_characters(rank, max_order):
-        depth = twisted_h1(presentation, xi)
+    for xi in _enumerate_characters(evaluator.rank, max_order):
+        depth = twisted_h1(evaluator.presentation, xi)
         if depth >= 1:
             entries.append(JumpEntry(xi, depth))
-    return JumpingLocusReport(max_order, rank, tuple(entries))
+    return JumpingLocusReport(max_order, evaluator.rank, tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -687,24 +676,26 @@ class CoverB1Result:
     """
 
     b1: int
-    base_b1: int
     contributions: tuple[JumpEntry, ...]
     warning: str | None = None
 
 
-def hironaka_b1(
-    b1_g: int, report: JumpingLocusReport, alpha: AbelianEpimorphism
-) -> CoverB1Result:
+def hironaka_b1(report: JumpingLocusReport, alpha: AbelianEpimorphism) -> CoverB1Result:
     """First Betti number of the cover ker(alpha) from the jumping loci.
 
     Each nontrivial entry whose character kills ker(alpha) - equivalently,
     factors through alpha - contributes its depth:
 
-        b_1(ker alpha) = b_1(G) + sum of factoring depths.
+        b_1(ker alpha) = b_1(G) + sum of factoring depths,
 
+    with b_1(G) = report.b1, which must be the source rank of alpha.
     Factorization is tested exactly: the character must vanish on every
     basis vector of the kernel lattice of alpha.
     """
+    if report.b1 != alpha.source_rank:
+        raise CharacterDomainError(
+            f"report has b1 {report.b1}, epimorphism source rank {alpha.source_rank}"
+        )
     warning = None
     if report.scan_bound is not None and report.scan_bound < alpha.exponent:
         warning = (
@@ -713,42 +704,25 @@ def hironaka_b1(
             "may be missing and the result may undercount"
         )
     kernel = alpha.kernel_lattice_basis()
-    contributions = []
-    for entry in report.entries:
-        xi = entry.character
-        if xi.rank != alpha.source_rank:
-            raise CharacterDomainError(
-                f"entry character rank {xi.rank} does not match epimorphism source rank "
-                f"{alpha.source_rank}"
-            )
-        if all(xi.pairing(v) == 0 for v in kernel):
-            contributions.append(entry)
-    total = b1_g + sum(e.depth for e in contributions)
-    return CoverB1Result(total, b1_g, tuple(contributions), warning)
+    contributions = tuple(
+        entry for entry in report.entries
+        if all(entry.character.pairing(v) == 0 for v in kernel)
+    )
+    return CoverB1Result(report.b1 + sum(e.depth for e in contributions), contributions, warning)
 
 
 @dataclass(frozen=True)
 class CoprimeCertificate:
     """Witness that no jumping character factors through a Z_d quotient.
 
-    Records, for each nontrivial entry, its order and gcd with d (all 1);
-    since factoring characters would have order dividing both the report
-    exponent and d, coprimality forces the intersection with the dual of
-    the deck group to be trivial.  ``factorization_verified`` confirms the
-    kernel-vanishing test was also run directly on every entry.
+    Records the report exponent and the order of each nontrivial entry (all
+    coprime to d); since factoring characters would have order dividing
+    both the report exponent and d, coprimality forces the intersection
+    with the dual of the deck group to be trivial.
     """
 
-    cover_order: int
     exponent: int
     entry_orders: tuple[int, ...]
-    factorization_verified: bool
-
-    def summary(self) -> str:
-        return (
-            f"gcd(d={self.cover_order}, e={self.exponent}) = 1; "
-            f"entry orders {list(self.entry_orders)} all coprime to d; "
-            f"factorization re-checked: {self.factorization_verified}"
-        )
 
 
 @dataclass(frozen=True)
@@ -762,35 +736,24 @@ class CoprimeCoverResult:
 
 
 def coprime_cover_b1(
-    b1_g: int,
-    report: JumpingLocusReport,
-    order: int,
-    weights: Sequence[int],
+    report: JumpingLocusReport, order: int, weights: Sequence[int]
 ) -> CoprimeCoverResult:
     """b_1 of the cyclic cover of the given order defined by the weights.
 
-    When gcd(order, exponent of the report) = 1 the answer is b_1(G) for
-    *every* cyclic cover of that order, and a certificate is produced (the
-    per-entry coprimality checks plus a direct factorization re-check).
-    Otherwise the computation falls back to Hironaka's formula for the
-    specific epimorphism.
+    Hironaka's formula runs once.  When gcd(order, exponent of the report)
+    = 1 the answer is b_1(G) for *every* cyclic cover of that order, and
+    the result comes with a certificate (the per-entry coprimality checks,
+    and no factoring entry found).  Otherwise it is returned as the
+    fallback computation for the specific epimorphism.
     """
     if order < 1:
         raise ValueError("cover order must be >= 1")
-    alpha = AbelianEpimorphism.cyclic(order, weights)
-    if gcd(order, report.exponent) == 1:
-        orders = tuple(e.character.order for e in report.entries)
-        if any(gcd(o, order) != 1 for o in orders):
-            raise SlopekitError("entry order shares a factor with d despite coprime exponent")
-        direct = hironaka_b1(b1_g, report, alpha)
-        if direct.contributions:
-            raise SlopekitError("factorization found despite coprimality; report is inconsistent")
-        certificate = CoprimeCertificate(
-            cover_order=order,
-            exponent=report.exponent,
-            entry_orders=orders,
-            factorization_verified=True,
-        )
-        return CoprimeCoverResult(b1_g, certificate, None)
-    fallback = hironaka_b1(b1_g, report, alpha)
-    return CoprimeCoverResult(fallback.b1, None, fallback)
+    result = hironaka_b1(report, AbelianEpimorphism.cyclic(order, weights))
+    if gcd(order, report.exponent) != 1:
+        return CoprimeCoverResult(result.b1, None, result)
+    orders = tuple(e.character.order for e in report.entries)
+    if any(gcd(o, order) != 1 for o in orders):
+        raise SlopekitError("entry order shares a factor with d despite coprime exponent")
+    if result.contributions:
+        raise SlopekitError("factorization found despite coprimality; report is inconsistent")
+    return CoprimeCoverResult(result.b1, CoprimeCertificate(report.exponent, orders), None)

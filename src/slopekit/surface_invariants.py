@@ -164,11 +164,11 @@ def check_geography(surface: SurfaceInvariants) -> bool:
     return 2 * surface.chi <= surface.K2 <= 9 * surface.chi
 
 
-def family_invariants(params: FamilyParams, q_cover: int = 1) -> SurfaceInvariants:
+def family_invariants(params: FamilyParams) -> SurfaceInvariants:
     """Invariants of the branched double cover family over the
-    Cartwright-Steger surface: degree-d cyclic cover (irregularity q_cover,
-    which is 1 for every abelian cover of this surface), then the double
-    cover branched along 2k fibers of genus 19."""
+    Cartwright-Steger surface: degree-d cyclic cover (irregularity 1, as for
+    every abelian cover of this surface), then the double cover branched
+    along 2k fibers of genus 19."""
     base, fibration = cartwright_steger_profile()
-    cover = cyclic_cover_invariants(base, params.d, q_cover)
+    cover = cyclic_cover_invariants(base, params.d, 1)
     return branched_double_cover_invariants(cover, params.k, fibration.fiber_genus)

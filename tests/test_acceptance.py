@@ -128,7 +128,7 @@ def test_criterion_4_hironaka_vs_reidemeister_schreier():
             report = scan_jumping_loci(presentation, 8)
             for d in range(2, 9):
                 alpha = AbelianEpimorphism.cyclic(d, tuple([1] + [0] * (rank - 1)))
-                via_loci = hironaka_b1(rank, report, alpha)
+                via_loci = hironaka_b1(report, alpha)
                 assert via_loci.warning is None
                 via_rewriting = subgroup_b1(presentation, alpha)
                 assert via_loci.b1 == via_rewriting == expected(d)
@@ -173,7 +173,7 @@ def test_criterion_6_coprime_cover_selection():
             assert report.exponent == exponent
             for lam in range(0, 11):
                 d = lam * exponent + 1
-                result = coprime_cover_b1(2, report, d, (1, 0))
+                result = coprime_cover_b1(report, d, (1, 0))
                 assert result.b1 == 2
                 assert result.certificate is not None
                 assert result.certificate.exponent == exponent
@@ -185,7 +185,7 @@ def test_criterion_6_coprime_cover_selection():
                 JumpEntry(TorsionCharacter(exponent, (1, 1)), 1),  # does not factor
             )
             report = JumpingLocusReport(None, 2, entries)
-            result = coprime_cover_b1(2, report, exponent, (1, 0))
+            result = coprime_cover_b1(report, exponent, (1, 0))
             assert result.certificate is None
             assert result.b1 == 2 + depth
 
@@ -202,7 +202,7 @@ def test_criterion_7_trivial_loci_fixture():
                     continue
                 for matrix in (((1, 0), (0, 1)), ((1, 1), (0, 1))):
                     alpha = AbelianEpimorphism(2, (n1, n2), matrix)
-                    result = hironaka_b1(2, report, alpha)
+                    result = hironaka_b1(report, alpha)
                     assert result.b1 == 2
                     assert result.warning is None
                     assert result.b1 // 2 == 1  # q of the cover

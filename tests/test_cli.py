@@ -365,6 +365,21 @@ def test_non_integral_epimorphism_is_an_error(capsys, genus2_file, tmp_path):
     assert "reidemeister-schreier b1: 18" in out and "routes agree: yes" in out
 
 
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["cover-b1", "--input", "x.txt", "--cyclic", "3", "--weights", "1,x"], "bad --weights"),
+        (["alexander", "--input", "x.txt", "--char", "x"], "bad --char 'x'"),
+        (["alexander", "--input", "x.txt", "--char", "3:1,y"], "bad --char '3:1,y'"),
+    ],
+)
+def test_malformed_flag_values_exit_2(capsys, argv, fragment):
+    # flags are converted before the input is read, so x.txt need not exist
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert_single_json_error(err, "SlopekitError", fragment)
+
+
 def test_usage_errors_exit_2(capsys):
     for argv in (
         ["density", "--epsilon", "1/4"],  # neither target nor denominator

@@ -14,7 +14,6 @@ from slopekit.density import (
     InvalidTargetError,
     NetInfeasibleError,
     TargetSlope,
-    certificate_rows,
     convergence_report,
     covering_radius,
     density_certificate,
@@ -486,8 +485,7 @@ def test_csv_emission():
     lines = buffer.getvalue().splitlines()
     assert lines[0] == ",".join(CSV_HEADER)
     assert len(lines) == len(cert.entries) + 1
-    rows = certificate_rows(cert.entries)
-    first = rows[0]
+    first = cert.entries[0]
     # row fields are integers, exact numerators and denominators
     assert all(isinstance(x, int) for x in first)
     p, q, tn, td, e, n, d, k, sn, sd, gn, gd = first

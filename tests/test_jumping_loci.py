@@ -496,6 +496,26 @@ def test_scan_report_matches_public_constructor_and_exact_ranks():
     check()
 
 
+def test_scan_passes_the_cached_presentation_to_twisted_h1(monkeypatch):
+    jumping_loci._evaluator.cache_clear()
+    genus2 = surface_group(2)
+    twin = GroupPresentation(4, ((1, 2, -1, -2, 3, 4, -3, -4),))
+    assert twin == genus2 and twin is not genus2
+    original = jumping_loci.twisted_h1
+    received = []
+
+    def counted(presentation, xi):
+        received.append(presentation)
+        return original(presentation, xi)
+
+    monkeypatch.setattr(jumping_loci, "twisted_h1", counted)
+    first = scan_jumping_loci(genus2, 3)
+    second = scan_jumping_loci(twin, 3)
+    assert first == second
+    assert len(received) == 2 * 95  # J_4(2) + J_4(3) characters per scan
+    assert all(presentation is genus2 for presentation in received)
+
+
 def test_twisted_h1_alternating_presentations_matches_fresh_evaluation():
     genus2 = surface_group(2)
     twin = GroupPresentation(4, ((1, 2, -1, -2, 3, 4, -3, -4),))
@@ -542,6 +562,16 @@ def test_report_validation():
         JumpingLocusReport.from_json_dict(data)
 
 
+def test_report_rejects_entries_of_another_rank():
+    mixed = (JumpEntry(TorsionCharacter(2, (1, 0, 1)), 1), JumpEntry(TorsionCharacter(2, (1, 0)), 1))
+    with pytest.raises(CharacterDomainError, match="entry character rank 3 does not match b1 2"):
+        JumpingLocusReport(None, 2, mixed)
+    data = JumpingLocusReport(None, 3, mixed[:1]).to_json_dict()
+    data["b1"] = 2
+    with pytest.raises(CharacterDomainError, match="rank 3 does not match b1 2"):
+        JumpingLocusReport.from_json_dict(data)
+
+
 # ---------------------------------------------------------------------------
 # Exponent
 
@@ -564,7 +594,7 @@ def test_exponent_of_examples():
 
 def test_hironaka_genus2_cyclic3():
     report = scan_jumping_loci(surface_group(2), 3)
-    result = hironaka_b1(4, report, AbelianEpimorphism.cyclic(3, (1, 0, 0, 0)))
+    result = hironaka_b1(report, AbelianEpimorphism.cyclic(3, (1, 0, 0, 0)))
     assert result.b1 == 8  # matches Riemann-Hurwitz 2(d+1)
     assert result.warning is None
     assert sum(e.depth for e in result.contributions) == 4
@@ -577,33 +607,44 @@ def test_hironaka_trivial_loci():
         AbelianEpimorphism.cyclic(12, (1, 5)),
         AbelianEpimorphism(2, (10, 10), ((1, 0), (0, 1))),
     ):
-        assert hironaka_b1(2, report, alpha).b1 == 2
+        assert hironaka_b1(report, alpha).b1 == 2
 
 
 def test_hironaka_torus_empty_loci():
     report = scan_jumping_loci(torus_group(), 6)
-    assert hironaka_b1(2, report, AbelianEpimorphism.cyclic(5, (1, 3))).b1 == 2
+    assert hironaka_b1(report, AbelianEpimorphism.cyclic(5, (1, 3))).b1 == 2
 
 
 def test_hironaka_incomplete_scan_warning():
     report = scan_jumping_loci(surface_group(2), 2)
-    result = hironaka_b1(4, report, AbelianEpimorphism.cyclic(3, (1, 0, 0, 0)))
+    result = hironaka_b1(report, AbelianEpimorphism.cyclic(3, (1, 0, 0, 0)))
     assert result.warning is not None
     assert "scan bound 2" in result.warning
     # complete-knowledge reports never warn
-    assert hironaka_b1(2, cartwright_steger_report(), AbelianEpimorphism.cyclic(3, (1, 0))).warning is None
+    assert hironaka_b1(cartwright_steger_report(), AbelianEpimorphism.cyclic(3, (1, 0))).warning is None
+
+
+def test_hironaka_rejects_epimorphism_of_another_rank():
+    report = cartwright_steger_report()  # no entries: the check is on b1 itself
+    with pytest.raises(CharacterDomainError, match="report has b1 2, epimorphism source rank 3"):
+        hironaka_b1(report, AbelianEpimorphism.cyclic(3, (1, 0, 0)))
+    with pytest.raises(CharacterDomainError, match="epimorphism source rank 1"):
+        coprime_cover_b1(report, 7, (1,))
+    genus2 = scan_jumping_loci(surface_group(2), 2)
+    with pytest.raises(CharacterDomainError, match="report has b1 4, epimorphism source rank 2"):
+        hironaka_b1(genus2, AbelianEpimorphism.cyclic(2, (1, 0)))
 
 
 def test_hironaka_factorization_test():
     # order-2 character at (1, 0) factors through Z2 x (1,0) but not Z3 x (1,0)
     entry = JumpEntry(TorsionCharacter(2, (1, 0)), 1)
     report = JumpingLocusReport(None, 2, (entry,))
-    assert hironaka_b1(2, report, AbelianEpimorphism.cyclic(2, (1, 0))).b1 == 3
-    assert hironaka_b1(2, report, AbelianEpimorphism.cyclic(3, (1, 0))).b1 == 2
+    assert hironaka_b1(report, AbelianEpimorphism.cyclic(2, (1, 0))).b1 == 3
+    assert hironaka_b1(report, AbelianEpimorphism.cyclic(3, (1, 0))).b1 == 2
     # the same character also factors through Z4 x (1, 0): order 2 divides 4
-    assert hironaka_b1(2, report, AbelianEpimorphism.cyclic(4, (1, 0))).b1 == 3
+    assert hironaka_b1(report, AbelianEpimorphism.cyclic(4, (1, 0))).b1 == 3
     # but not through Z2 x (0, 1), whose kernel contains (1, 0)
-    assert hironaka_b1(2, report, AbelianEpimorphism.cyclic(2, (0, 1))).b1 == 2
+    assert hironaka_b1(report, AbelianEpimorphism.cyclic(2, (0, 1))).b1 == 2
 
 
 def test_hironaka_agrees_with_rewriting_on_fixtures():
@@ -616,7 +657,7 @@ def test_hironaka_agrees_with_rewriting_on_fixtures():
         for d in range(2, 9):
             weights = tuple([1] + [0] * (rank - 1))
             alpha = AbelianEpimorphism.cyclic(d, weights)
-            assert hironaka_b1(rank, report, alpha).b1 == subgroup_b1(presentation, alpha)
+            assert hironaka_b1(report, alpha).b1 == subgroup_b1(presentation, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -631,11 +672,11 @@ def test_coprime_examples():
     )
     report = JumpingLocusReport(None, 2, entries)
     assert report.exponent == 6
-    result = coprime_cover_b1(2, report, 7, (1, 0))
+    result = coprime_cover_b1(report, 7, (1, 0))
     assert result.b1 == 2
     assert result.certificate is not None
     assert result.certificate.exponent == 6
-    assert result.certificate.factorization_verified
+    assert result.certificate.entry_orders == (2, 3)
     assert result.fallback is None
 
 
@@ -644,40 +685,59 @@ def test_coprime_synthetic_order2():
         None, 2, (JumpEntry(TorsionCharacter(2, (1, 0)), 1),)
     )
     # d = 3 coprime to the exponent 2: no factorization possible
-    result = coprime_cover_b1(2, report, 3, (1, 0))
+    result = coprime_cover_b1(report, 3, (1, 0))
     assert result.b1 == 2 and result.certificate is not None
     # d = 2 shares the factor: falls back to Hironaka, character contributes
-    result = coprime_cover_b1(2, report, 2, (1, 0))
+    result = coprime_cover_b1(report, 2, (1, 0))
     assert result.b1 == 3 and result.certificate is None
     assert result.fallback is not None
     assert [e.depth for e in result.fallback.contributions] == [1]
 
 
+@pytest.mark.parametrize("order, certified", [(7, True), (2, False), (6, False)])
+def test_coprime_runs_hironaka_once(monkeypatch, order, certified):
+    entries = (
+        JumpEntry(TorsionCharacter(2, (1, 0)), 1),
+        JumpEntry(TorsionCharacter(3, (0, 1)), 2),
+    )
+    report = JumpingLocusReport(None, 2, entries)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return hironaka_b1(*args)
+
+    monkeypatch.setattr(jumping_loci, "hironaka_b1", counted)
+    result = coprime_cover_b1(report, order, (1, 0))
+    assert len(calls) == 1
+    assert (result.certificate is not None) == certified == (result.fallback is None)
+
+
 def random_synthetic_report(rng):
-    rank = rng.randint(1, 3)
+    """A report of b1 in 1..3 whose entries all have rank b1, as a scan's do."""
+    b1 = rng.randint(1, 3)
     entries = {}
     for _ in range(rng.randint(0, 4)):
         m = rng.choice([2, 3, 4, 5, 6, 8, 12])
-        exps = [rng.randrange(m) for _ in range(rank)]
+        exps = [rng.randrange(m) for _ in range(b1)]
         if gcd(m, *exps) != 1:
             continue
         xi = TorsionCharacter(m, tuple(exps))
         entries[xi] = JumpEntry(xi, rng.randint(1, 3))
-    b1 = rng.randint(0, 4)
-    return JumpingLocusReport(None, b1, tuple(entries.values())), rank, b1
+    return JumpingLocusReport(None, b1, tuple(entries.values()))
 
 
 def test_coprime_certificate_randomized():
     rng = random.Random(606)
     for _ in range(500):
-        report, rank, b1 = random_synthetic_report(rng)
+        report = random_synthetic_report(rng)
         lam = rng.randint(0, 6)
         d = lam * report.exponent + 1
-        weights = [rng.randrange(d) for _ in range(rank)]
-        weights[rng.randrange(rank)] = 1
-        result = coprime_cover_b1(b1, report, d, tuple(weights))
+        weights = [rng.randrange(d) for _ in range(report.b1)]
+        weights[rng.randrange(report.b1)] = 1
+        result = coprime_cover_b1(report, d, tuple(weights))
         assert gcd(d, report.exponent) == 1
-        assert result.b1 == b1
+        assert result.b1 == report.b1
         assert result.certificate is not None
         assert all(gcd(o, d) == 1 for o in result.certificate.entry_orders)
 
@@ -685,13 +745,13 @@ def test_coprime_certificate_randomized():
 def test_coprime_fallback_agrees_with_hironaka():
     rng = random.Random(707)
     for _ in range(200):
-        report, rank, b1 = random_synthetic_report(rng)
+        report = random_synthetic_report(rng)
         d = rng.randint(2, 12)
-        weights = [rng.randrange(d) for _ in range(rank)]
-        weights[rng.randrange(rank)] = 1
+        weights = [rng.randrange(d) for _ in range(report.b1)]
+        weights[rng.randrange(report.b1)] = 1
         alpha = AbelianEpimorphism.cyclic(d, tuple(weights))
-        result = coprime_cover_b1(b1, report, d, tuple(weights))
-        assert result.b1 == hironaka_b1(b1, report, alpha).b1
+        result = coprime_cover_b1(report, d, tuple(weights))
+        assert result.b1 == hironaka_b1(report, alpha).b1
         if gcd(d, report.exponent) == 1:
             assert result.certificate is not None
         else:

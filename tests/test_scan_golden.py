@@ -86,7 +86,9 @@ def test_scan_renderers_match_their_oracles():
             character = TorsionCharacter(modulus, tuple(exponents))
             entries.append(JumpEntry(character, draw(st.integers(1, 10**4))))
         scan_bound = draw(st.none() | st.integers(1, 10**6))
-        return JumpingLocusReport(scan_bound, draw(st.integers(0, 10**3)), entries)
+        # entries have rank b1; a report without entries may have any b1
+        b1 = rank if entries else draw(st.integers(0, 10**3))
+        return JumpingLocusReport(scan_bound, b1, entries)
 
     @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
     @hypothesis.given(reports())
