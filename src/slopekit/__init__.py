@@ -74,7 +74,6 @@ from .jumping_loci import (
     cyclotomic_polynomial,
     evaluate_alexander_matrix,
     evaluate_laurent,
-    exponent_of,
     hironaka_b1,
     scan_jumping_loci,
     twisted_h1,

@@ -380,7 +380,7 @@ def _cmd_cover_b1(args: argparse.Namespace) -> int:
         "agree": agree,
         "scan_bound": alpha.exponent,
         "deck_exponent": alpha.exponent,
-        "warning": hironaka.warning,
+        "warning": None,
         "contributions": [e.to_json_dict() for e in hironaka.contributions],
     }
     if args.fmt == "json":

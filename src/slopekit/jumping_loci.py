@@ -34,11 +34,11 @@ orders occurring in W_1).  Two consumers are built on top:
   b_1(ker alpha) = b_1(G) + sum of depths of factoring characters.
 * the coprime cover selector: when gcd(d, exponent) = 1, no nontrivial
   jumping character can factor through a cyclic quotient of order d, so the
-  cover keeps b_1(G) - certified without rescanning.
+  cover keeps b_1(G) - certified by the report, with no subgroup rewriting.
 
-Completeness of a scan is the caller's responsibility: a report only covers
-characters up to its scan bound, and using it against a deck group of larger
-exponent attaches an explicit warning to the result.
+A report only speaks for characters up to its scan bound, and it refuses an
+entry of larger order.  Both consumers refuse a report whose scan bound is
+below the deck group's exponent, so every cover b_1 they return is exact.
 """
 
 from __future__ import annotations
@@ -547,19 +547,7 @@ class JumpEntry:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "JumpEntry":
-        return cls(
-            TorsionCharacter(data["modulus"], tuple(data["exponents"])),
-            operator.index(data["depth"]),
-        )
-
-
-def exponent_of(entries: Iterable[JumpEntry]) -> int:
-    """lcm of the orders of the nontrivial jumping characters (1 if none)."""
-    result = 1
-    for entry in entries:
-        if entry.depth >= 1 and not entry.character.is_trivial():
-            result = lcm(result, entry.character.order)
-    return result
+        return cls(TorsionCharacter.from_json_dict(data), operator.index(data["depth"]))
 
 
 @dataclass(frozen=True)
@@ -568,9 +556,10 @@ class JumpingLocusReport:
 
     The trivial character is not listed among the entries; it sits in W_i
     exactly for i <= b1.  ``scan_bound`` records the order bound of the scan
-    that produced the report; None marks a report asserted complete on other
-    grounds (fixtures), which is never produced by a scan.  ``exponent``
-    is derived: the lcm of the entry orders.
+    that produced the report, an int >= 1, and no entry may exceed it; None
+    marks a report asserted complete on other grounds (fixtures), which is
+    never produced by a scan.  ``exponent`` is derived: the lcm of the entry
+    orders.
     """
 
     scan_bound: int | None
@@ -579,20 +568,31 @@ class JumpingLocusReport:
     exponent: int = field(init=False)
 
     def __post_init__(self) -> None:
+        bound = self.scan_bound
+        if bound is not None:
+            bound = operator.index(bound)
+            if bound < 1:
+                raise SlopekitError(f"scan bound must be None or >= 1, got {bound}")
+            object.__setattr__(self, "scan_bound", bound)
         entries = tuple(
             sorted(self.entries, key=lambda e: (e.character.modulus, e.character.exponents))
         )
+        exponent = 1
         for entry in entries:
+            order = entry.character.order
             if entry.character.is_trivial():
                 raise SlopekitError("the trivial character is tracked by b1, not by entries")
+            if bound is not None and order > bound:
+                raise SlopekitError(f"entry of order {order} exceeds the scan bound {bound}")
             if entry.depth < 1:
                 raise SlopekitError("entries must have depth >= 1")
             if entry.character.rank != self.b1:
                 raise CharacterDomainError(
                     f"entry character rank {entry.character.rank} does not match b1 {self.b1}"
                 )
+            exponent = lcm(exponent, order)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "exponent", exponent_of(entries))
+        object.__setattr__(self, "exponent", exponent)
 
     def characters_with_depth_at_least(self, depth: int) -> tuple[TorsionCharacter, ...]:
         """W_depth as a character tuple; the free rank equals b1, so the
@@ -668,16 +668,11 @@ def scan_jumping_loci(presentation: GroupPresentation, max_order: int) -> Jumpin
 
 @dataclass(frozen=True)
 class CoverB1Result:
-    """Outcome of Hironaka's formula for one epimorphism.
-
-    ``warning`` is set when the report's scan bound cannot certify
-    completeness against the deck group's exponent; the number is then a
-    lower bound rather than a certified value.
-    """
+    """Outcome of Hironaka's formula for one epimorphism: the exact b_1 of
+    the cover and the entries whose characters factor through it."""
 
     b1: int
     contributions: tuple[JumpEntry, ...]
-    warning: str | None = None
 
 
 def hironaka_b1(report: JumpingLocusReport, alpha: AbelianEpimorphism) -> CoverB1Result:
@@ -690,25 +685,25 @@ def hironaka_b1(report: JumpingLocusReport, alpha: AbelianEpimorphism) -> CoverB
 
     with b_1(G) = report.b1, which must be the source rank of alpha.
     Factorization is tested exactly: the character must vanish on every
-    basis vector of the kernel lattice of alpha.
+    basis vector of the kernel lattice of alpha.  A character factoring
+    through alpha has order dividing the deck group's exponent, so a report
+    scanned below that exponent may miss one and is refused.
     """
     if report.b1 != alpha.source_rank:
         raise CharacterDomainError(
             f"report has b1 {report.b1}, epimorphism source rank {alpha.source_rank}"
         )
-    warning = None
     if report.scan_bound is not None and report.scan_bound < alpha.exponent:
-        warning = (
-            f"scan bound {report.scan_bound} is smaller than the deck group exponent "
-            f"{alpha.exponent}; jumping characters of order up to {alpha.exponent} "
-            "may be missing and the result may undercount"
+        raise SlopekitError(
+            f"scan bound {report.scan_bound} is below the deck group exponent "
+            f"{alpha.exponent}; rescan to order {alpha.exponent}"
         )
     kernel = alpha.kernel_lattice_basis()
     contributions = tuple(
         entry for entry in report.entries
         if all(entry.character.pairing(v) == 0 for v in kernel)
     )
-    return CoverB1Result(report.b1 + sum(e.depth for e in contributions), contributions, warning)
+    return CoverB1Result(report.b1 + sum(e.depth for e in contributions), contributions)
 
 
 @dataclass(frozen=True)
@@ -742,18 +737,14 @@ def coprime_cover_b1(
 
     Hironaka's formula runs once.  When gcd(order, exponent of the report)
     = 1 the answer is b_1(G) for *every* cyclic cover of that order, and
-    the result comes with a certificate (the per-entry coprimality checks,
-    and no factoring entry found).  Otherwise it is returned as the
-    fallback computation for the specific epimorphism.
+    the result comes with a certificate: every entry order divides the
+    exponent, so none shares a factor with the order and no entry factors.
+    Otherwise it is returned as the fallback computation for the specific
+    epimorphism.  A report scanned below the order is refused, as by
+    hironaka_b1.
     """
-    if order < 1:
-        raise ValueError("cover order must be >= 1")
     result = hironaka_b1(report, AbelianEpimorphism.cyclic(order, weights))
     if gcd(order, report.exponent) != 1:
         return CoprimeCoverResult(result.b1, None, result)
     orders = tuple(e.character.order for e in report.entries)
-    if any(gcd(o, order) != 1 for o in orders):
-        raise SlopekitError("entry order shares a factor with d despite coprime exponent")
-    if result.contributions:
-        raise SlopekitError("factorization found despite coprimality; report is inconsistent")
     return CoprimeCoverResult(result.b1, CoprimeCertificate(report.exponent, orders), None)

@@ -10,6 +10,7 @@ exact rationals appear.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -39,6 +40,8 @@ class SurfaceInvariants:
     pg: int
 
     def __post_init__(self) -> None:
+        for name in ("K2", "chi", "q", "pg"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.q < 0 or self.pg < 0:
             raise NoetherViolationError(f"q and p_g must be nonnegative, got q={self.q}, pg={self.pg}")
         if self.chi != 1 - self.q + self.pg:
@@ -51,7 +54,7 @@ class SurfaceInvariants:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SurfaceInvariants":
-        return cls(int(data["K2"]), int(data["chi"]), int(data["q"]), int(data["pg"]))
+        return cls(data["K2"], data["chi"], data["q"], data["pg"])
 
 
 @dataclass(frozen=True)

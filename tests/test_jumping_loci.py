@@ -9,7 +9,7 @@ from math import gcd, isqrt
 import pytest
 
 from slopekit import jumping_loci
-from slopekit.covers import AbelianEpimorphism
+from slopekit.covers import AbelianEpimorphism, subgroup_b1
 from slopekit.errors import SlopekitError
 from slopekit.group_core import (
     GroupPresentation,
@@ -33,7 +33,6 @@ from slopekit.jumping_loci import (
     cyclotomic_rank,
     evaluate_alexander_matrix,
     evaluate_laurent,
-    exponent_of,
     hironaka_b1,
     scan_jumping_loci,
     twisted_h1,
@@ -562,6 +561,33 @@ def test_report_validation():
         JumpingLocusReport.from_json_dict(data)
 
 
+def test_report_checks_its_scan_bound():
+    for bad in ("9", 2.5):
+        with pytest.raises(TypeError):
+            JumpingLocusReport(bad, 2, ())
+    for bad in (-3, 0):
+        with pytest.raises(SlopekitError, match=f"scan bound must be None or >= 1, got {bad}"):
+            JumpingLocusReport(bad, 2, ())
+    # the JSON reader goes through the same constructor
+    data = scan_jumping_loci(torus_group(), 4).to_json_dict()
+    for bad, error in (("9", TypeError), (2.5, TypeError), (-3, SlopekitError), (0, SlopekitError)):
+        with pytest.raises(error):
+            JumpingLocusReport.from_json_dict({**data, "scan_bound": bad})
+    assert JumpingLocusReport(1, 2, ()).scan_bound == 1
+
+
+def test_report_refuses_entries_above_its_scan_bound():
+    entry = JumpEntry(TorsionCharacter(5, (1, 0)), 1)
+    with pytest.raises(SlopekitError, match="entry of order 5 exceeds the scan bound 3"):
+        JumpingLocusReport(3, 2, (entry,))
+    data = JumpingLocusReport(5, 2, (entry,)).to_json_dict()
+    data["scan_bound"] = 4
+    with pytest.raises(SlopekitError, match="entry of order 5 exceeds the scan bound 4"):
+        JumpingLocusReport.from_json_dict(data)
+    # the order is the canonical one: (10, (2, 0)) is the order-5 character above
+    assert JumpingLocusReport(5, 2, (JumpEntry(TorsionCharacter(10, (2, 0)), 1),)).exponent == 5
+
+
 def test_report_rejects_entries_of_another_rank():
     mixed = (JumpEntry(TorsionCharacter(2, (1, 0, 1)), 1), JumpEntry(TorsionCharacter(2, (1, 0)), 1))
     with pytest.raises(CharacterDomainError, match="entry character rank 3 does not match b1 2"):
@@ -576,13 +602,16 @@ def test_report_rejects_entries_of_another_rank():
 # Exponent
 
 
-def test_exponent_of_examples():
-    assert exponent_of(()) == 1
+def test_report_exponent_examples():
+    assert JumpingLocusReport(None, 2, ()).exponent == 1
     entries = (
         JumpEntry(TorsionCharacter(2, (1, 0)), 1),
         JumpEntry(TorsionCharacter(3, (0, 1)), 1),
+        JumpEntry(TorsionCharacter(6, (2, 4)), 2),  # order 3: canonically (3, (1, 2))
     )
-    assert exponent_of(entries) == 6
+    assert JumpingLocusReport(None, 2, entries).exponent == 6
+    assert JumpingLocusReport(3, 2, entries).exponent == 6
+    assert JumpingLocusReport(None, 2, entries[2:]).exponent == 3
     assert cartwright_steger_report().exponent == 1
     assert cartwright_steger_report().b1 == 2
     assert cartwright_steger_report().entries == ()
@@ -596,7 +625,6 @@ def test_hironaka_genus2_cyclic3():
     report = scan_jumping_loci(surface_group(2), 3)
     result = hironaka_b1(report, AbelianEpimorphism.cyclic(3, (1, 0, 0, 0)))
     assert result.b1 == 8  # matches Riemann-Hurwitz 2(d+1)
-    assert result.warning is None
     assert sum(e.depth for e in result.contributions) == 4
 
 
@@ -615,13 +643,69 @@ def test_hironaka_torus_empty_loci():
     assert hironaka_b1(report, AbelianEpimorphism.cyclic(5, (1, 3))).b1 == 2
 
 
-def test_hironaka_incomplete_scan_warning():
+def test_hironaka_refuses_incomplete_scan():
     report = scan_jumping_loci(surface_group(2), 2)
-    result = hironaka_b1(report, AbelianEpimorphism.cyclic(3, (1, 0, 0, 0)))
-    assert result.warning is not None
-    assert "scan bound 2" in result.warning
-    # complete-knowledge reports never warn
-    assert hironaka_b1(cartwright_steger_report(), AbelianEpimorphism.cyclic(3, (1, 0))).warning is None
+    with pytest.raises(SlopekitError, match="scan bound 2 is below the deck group exponent 3"):
+        hironaka_b1(report, AbelianEpimorphism.cyclic(3, (1, 0, 0, 0)))
+    # the deck group's exponent, not its order: Z/2 x Z/2 needs a scan to 2 only
+    klein = AbelianEpimorphism(4, (2, 2), ((1, 0, 0, 0), (0, 1, 0, 0)))
+    assert hironaka_b1(report, klein).b1 == subgroup_b1(surface_group(2), klein) == 10
+    z2z4 = AbelianEpimorphism(4, (2, 4), ((1, 0, 0, 0), (0, 1, 0, 0)))
+    with pytest.raises(SlopekitError, match="exponent 4"):
+        hironaka_b1(report, z2z4)
+    # complete-knowledge reports are never refused
+    assert hironaka_b1(cartwright_steger_report(), AbelianEpimorphism.cyclic(3, (1, 0))).b1 == 2
+
+
+def test_coprime_refuses_incomplete_scan():
+    # scanned to 3, the report misses the order-5 characters; coprimality with its
+    # exponent alone would certify b1 = 4, where the cover has b1 = 12
+    report = scan_jumping_loci(surface_group(2), 3)
+    alpha = AbelianEpimorphism.cyclic(5, (1, 0, 0, 0))
+    with pytest.raises(SlopekitError, match="scan bound 3 is below the deck group exponent 5"):
+        coprime_cover_b1(report, 5, (1, 0, 0, 0))
+    assert subgroup_b1(surface_group(2), alpha) == 12
+    result = coprime_cover_b1(scan_jumping_loci(surface_group(2), 5), 5, (1, 0, 0, 0))
+    assert result.b1 == 12 and result.certificate is None
+
+
+def test_cover_b1_is_exact_or_absent():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def cover_cases(draw):
+        gens = draw(st.integers(1, 3))
+        letters = st.integers(1, gens).flatmap(lambda i: st.sampled_from((i, -i)))
+        words = draw(st.lists(st.lists(letters, min_size=1, max_size=8), min_size=1, max_size=2))
+        presentation = GroupPresentation(gens, tuple(tuple(w) for w in words))
+        rank = free_abelianization(presentation).rank
+        hypothesis.assume(rank >= 1)
+        d = draw(st.integers(2, 6))
+        weights = draw(st.lists(st.integers(0, d - 1), min_size=rank, max_size=rank))
+        weights[draw(st.integers(0, rank - 1))] = 1
+        return presentation, d, tuple(weights), draw(st.integers(1, 6))
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
+    @hypothesis.given(cover_cases())
+    def check(case):
+        presentation, d, weights, bound = case
+        report = scan_jumping_loci(presentation, bound)
+        alpha = AbelianEpimorphism.cyclic(d, weights)
+        if bound < d:
+            with pytest.raises(SlopekitError, match="below the deck group exponent"):
+                hironaka_b1(report, alpha)
+            with pytest.raises(SlopekitError, match="below the deck group exponent"):
+                coprime_cover_b1(report, d, weights)
+            return
+        exact = subgroup_b1(presentation, alpha)
+        assert hironaka_b1(report, alpha).b1 == exact
+        result = coprime_cover_b1(report, d, weights)
+        assert result.b1 == exact
+        if result.certificate is not None:
+            assert result.b1 == report.b1
+
+    check()
 
 
 def test_hironaka_rejects_epimorphism_of_another_rank():
@@ -648,9 +732,6 @@ def test_hironaka_factorization_test():
 
 
 def test_hironaka_agrees_with_rewriting_on_fixtures():
-    from slopekit.covers import subgroup_b1
-    from slopekit.group_core import free_abelianization
-
     for presentation in (torus_group(), free_group(2), surface_group(2)):
         rank = free_abelianization(presentation).rank
         report = scan_jumping_loci(presentation, 8)

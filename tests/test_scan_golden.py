@@ -85,7 +85,9 @@ def test_scan_renderers_match_their_oracles():
                 exponents[draw(st.integers(0, rank - 1))] = draw(st.integers(1, modulus - 1))
             character = TorsionCharacter(modulus, tuple(exponents))
             entries.append(JumpEntry(character, draw(st.integers(1, 10**4))))
-        scan_bound = draw(st.none() | st.integers(1, 10**6))
+        # a report refuses an entry above its scan bound
+        highest = max((e.character.order for e in entries), default=1)
+        scan_bound = draw(st.none() | st.integers(highest, 10**6))
         # entries have rank b1; a report without entries may have any b1
         b1 = rank if entries else draw(st.integers(0, 10**3))
         return JumpingLocusReport(scan_bound, b1, entries)

@@ -40,6 +40,18 @@ def test_noether_is_enforced():
         cartwright_steger_profile()[0]
 
 
+def test_invariants_take_ints_only():
+    # truncation would read the first as (9, 1, 1, 1)
+    with pytest.raises(TypeError):
+        SurfaceInvariants.from_json_dict({"K2": 9.9, "chi": 1.5, "q": 1, "pg": 1.2})
+    with pytest.raises(TypeError):
+        SurfaceInvariants(9.5, 1, 1, 1)
+    with pytest.raises(TypeError):
+        SurfaceInvariants.from_json_dict({"K2": "9", "chi": 1, "q": 1, "pg": 1})
+    surface = SurfaceInvariants(True, 1, 1, 1)
+    assert type(surface.K2) is int and slope(surface) == 1
+
+
 def test_cyclic_cover_examples():
     base, _ = cartwright_steger_profile()
     assert cyclic_cover_invariants(base, 1, 1) == SurfaceInvariants(9, 1, 1, 1)
