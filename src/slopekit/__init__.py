@@ -58,7 +58,6 @@ from .group_core import (
     surface_group,
     torus_group,
     trefoil_group,
-    word_monomial,
 )
 from .jumping_loci import (
     CharacterDomainError,
@@ -73,7 +72,6 @@ from .jumping_loci import (
     coprime_cover_b1,
     cyclotomic_polynomial,
     evaluate_alexander_matrix,
-    evaluate_laurent,
     hironaka_b1,
     scan_jumping_loci,
     twisted_h1,

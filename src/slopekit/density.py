@@ -380,21 +380,27 @@ def write_certificate_csv(
     stream.writelines(map(_CSV_ROW.__mod__, entries))
 
 
+def _two_decimals(value: Fraction) -> str:
+    """A nonnegative exact value to two decimals, rounded half to even."""
+    return "%d.%02d" % divmod(round(value * 100), 100)
+
+
 def write_slope_svg(entries: Sequence[ConvergenceReport], stream: IO[str]) -> None:
     """Scatter plot (n, achieved slope) as a self-contained SVG.
 
-    Hand-rolled so identical inputs yield byte-identical files.
+    Hand-rolled so identical inputs yield byte-identical files.  Each
+    coordinate is an exact Fraction, printed to two decimals rounded half
+    to even.
     """
     width, height, margin = 640, 400, 50
     max_n = max(entry.n for entry in entries)
 
-    def x_pos(n: int) -> float:
-        span = max(max_n, 1)
-        return margin + (width - 2 * margin) * (n / (span + 1))
+    def x_pos(n: int) -> str:
+        return _two_decimals(margin + Fraction((width - 2 * margin) * n, max_n + 1))
 
-    def y_pos(slope_value: Fraction) -> float:
-        frac = float(slope_value - 8)  # slopes live in (8, 9)
-        return height - margin - (height - 2 * margin) * frac
+    def y_pos(slope_value: Fraction) -> str:
+        # slopes live in (8, 9)
+        return _two_decimals(height - margin - (height - 2 * margin) * (slope_value - 8))
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -413,8 +419,8 @@ def write_slope_svg(entries: Sequence[ConvergenceReport], stream: IO[str]) -> No
         f'<text x="{margin - 6}" y="{margin + 4}" font-size="10" text-anchor="end">9</text>',
     ]
     for entry in entries:
-        cx = f"{x_pos(entry.n):.2f}"
-        cy = f"{y_pos(entry.achieved):.2f}"
+        cx = x_pos(entry.n)
+        cy = y_pos(entry.achieved)
         lines.append(f'<circle cx="{cx}" cy="{cy}" r="3" fill="steelblue"/>')
     lines.append("</svg>")
     stream.write("\n".join(lines) + "\n")

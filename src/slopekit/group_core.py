@@ -89,12 +89,6 @@ class Word:
     def __iter__(self) -> Iterator[int]:
         return iter(self.letters)
 
-    def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
-
-    def inverse(self) -> "Word":
-        return Word(tuple(-l for l in reversed(self.letters)))
-
     def max_index(self) -> int:
         return max((abs(l) for l in self.letters), default=0)
 
@@ -212,26 +206,11 @@ class IntegerMatrix:
             and self.entries == other.entries
         )
 
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
     def __repr__(self) -> str:
         return f"IntegerMatrix({[list(r) for r in self.entries]!r})"
 
-    def __mul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        prod = [
-            [sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols)) for j in range(other.cols)]
-            for i in range(self.rows)
-        ]
-        return IntegerMatrix(prod, rows=self.rows, cols=other.cols)
-
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
 
 
 def _swap_rows(a: list[list[int]], i: int, j: int) -> None:
@@ -481,19 +460,6 @@ class LaurentPolynomial:
                 clean[tuple(int(e) for e in exps)] = int(coeff)
         self.terms = clean
 
-    @classmethod
-    def zero(cls, variables: int) -> "LaurentPolynomial":
-        return cls(variables, {})
-
-    @classmethod
-    def constant(cls, variables: int, value: int) -> "LaurentPolynomial":
-        return cls(variables, {tuple([0] * variables): value})
-
-    @classmethod
-    def monomial(cls, exponents: Sequence[int], coeff: int = 1) -> "LaurentPolynomial":
-        exps = tuple(int(e) for e in exponents)
-        return cls(len(exps), {exps: coeff})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -501,8 +467,6 @@ class LaurentPolynomial:
         return bool(self.terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = LaurentPolynomial.constant(self.variables, other)
         return (
             isinstance(other, LaurentPolynomial)
             and self.variables == other.variables
@@ -511,46 +475,6 @@ class LaurentPolynomial:
 
     def __hash__(self) -> int:
         return hash((self.variables, tuple(sorted(self.terms.items()))))
-
-    def _coerce(self, other: "LaurentPolynomial | int") -> "LaurentPolynomial":
-        if isinstance(other, int):
-            return LaurentPolynomial.constant(self.variables, other)
-        if other.variables != self.variables:
-            raise ValueError("variable count mismatch")
-        return other
-
-    def __add__(self, other: "LaurentPolynomial | int") -> "LaurentPolynomial":
-        other = self._coerce(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, 0) + coeff
-        return LaurentPolynomial(self.variables, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.variables, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "LaurentPolynomial | int") -> "LaurentPolynomial":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other: int) -> "LaurentPolynomial":
-        return self._coerce(other) - self
-
-    def __mul__(self, other: "LaurentPolynomial | int") -> "LaurentPolynomial":
-        other = self._coerce(other)
-        terms: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                terms[key] = terms.get(key, 0) + c1 * c2
-        return LaurentPolynomial(self.variables, terms)
-
-    __rmul__ = __mul__
-
-    def evaluate_at_one(self) -> int:
-        """Value with every variable set to 1 (total coefficient sum)."""
-        return sum(self.terms.values())
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items())
@@ -581,17 +505,6 @@ class LaurentPolynomial:
             pieces.append(f"{sign} {term}")
         out = " ".join(pieces)
         return out[2:] if out.startswith("+ ") else "-" + out[2:]
-
-
-def word_monomial(presentation: GroupPresentation, word: Word | Iterable[int]) -> LaurentPolynomial:
-    """Image of a word in the group ring of the free abelianization."""
-    fa = free_abelianization(presentation)
-    exps = abelianized_exponents(word, presentation.generator_count)
-    image = [0] * fa.rank
-    for gen, power in enumerate(exps):
-        for k in range(fa.rank):
-            image[k] += power * fa.generator_images[gen][k]
-    return LaurentPolynomial.monomial(image)
 
 
 def fox_derivative(presentation: GroupPresentation, word: Word | Iterable[int], index: int) -> LaurentPolynomial:

@@ -52,11 +52,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .covers import AbelianEpimorphism
 from .errors import SlopekitError
-from .group_core import (
-    GroupPresentation,
-    LaurentPolynomial,
-    free_abelianization,
-)
+from .group_core import GroupPresentation, free_abelianization
 
 
 class CharacterDomainError(SlopekitError):
@@ -73,6 +69,9 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
     Computed by exact division of x^m - 1 by the cyclotomic polynomials of
     the proper divisors of m; monic with integer coefficients.
+
+    >>> cyclotomic_polynomial(6)
+    (1, -1, 1)
     """
     if m < 1:
         raise ValueError("modulus must be positive")
@@ -118,20 +117,6 @@ class CyclotomicNumber:
         vec += [0] * (phi - len(vec))
         self.modulus = modulus
         self.coeffs = tuple(vec)
-
-    # -- constructors
-
-    @classmethod
-    def from_root_powers(cls, modulus: int, powers: Mapping[int, int]) -> "CyclotomicNumber":
-        """Integer combination sum(coeff * zeta_m**power).
-
-        >>> CyclotomicNumber.from_root_powers(6, {0: 1, 1: -1, 2: 1}).is_zero()
-        True
-        """
-        vec = [0] * modulus
-        for power, coeff in powers.items():
-            vec[power % modulus] += coeff
-        return cls(modulus, vec)
 
     # -- predicates
 
@@ -247,9 +232,6 @@ class TorsionCharacter:
     def is_trivial(self) -> bool:
         return self.modulus == 1
 
-    def conjugate(self) -> "TorsionCharacter":
-        return TorsionCharacter(self.modulus, tuple(-e % self.modulus for e in self.exponents))
-
     def pairing(self, vector: Sequence[int]) -> int:
         """Exponent (mod modulus) of the character value on a lattice vector."""
         if len(vector) != len(self.exponents):
@@ -310,17 +292,6 @@ def evaluate_alexander_matrix(
         _fox_row_at_character(letters, shifts, evaluator.generator_count, character.modulus)
         for letters in evaluator.relators
     ]
-
-
-def evaluate_laurent(poly: LaurentPolynomial, character: TorsionCharacter) -> CyclotomicNumber:
-    """Specialize a Laurent polynomial at the character's root of unity."""
-    if poly.variables != character.rank:
-        raise CharacterDomainError("polynomial variables do not match character rank")
-    powers: dict[int, int] = {}
-    for exps, coeff in poly.terms.items():
-        p = character.pairing(exps)
-        powers[p] = powers.get(p, 0) + coeff
-    return CyclotomicNumber.from_root_powers(character.modulus, powers)
 
 
 def cyclotomic_rank(rows: Sequence[Sequence[CyclotomicNumber]]) -> int:
@@ -555,7 +526,7 @@ class JumpingLocusReport:
     """Finite description of the W_i: nontrivial entries plus b_1.
 
     The trivial character is not listed among the entries; it sits in W_i
-    exactly for i <= b1.  ``scan_bound`` records the order bound of the scan
+    exactly for i <= b1, an int >= 0.  ``scan_bound`` records the order bound of the scan
     that produced the report, an int >= 1, and no entry may exceed it; None
     marks a report asserted complete on other grounds (fixtures), which is
     never produced by a scan.  ``exponent`` is derived: the lcm of the entry
@@ -574,6 +545,10 @@ class JumpingLocusReport:
             if bound < 1:
                 raise SlopekitError(f"scan bound must be None or >= 1, got {bound}")
             object.__setattr__(self, "scan_bound", bound)
+        b1 = operator.index(self.b1)
+        if b1 < 0:
+            raise SlopekitError(f"b1 must be >= 0, got {b1}")
+        object.__setattr__(self, "b1", b1)
         entries = tuple(
             sorted(self.entries, key=lambda e: (e.character.modulus, e.character.exponents))
         )
@@ -594,14 +569,6 @@ class JumpingLocusReport:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "exponent", exponent)
 
-    def characters_with_depth_at_least(self, depth: int) -> tuple[TorsionCharacter, ...]:
-        """W_depth as a character tuple; the free rank equals b1, so the
-        trivial character has rank b1."""
-        found = [e.character for e in self.entries if e.depth >= depth]
-        if self.b1 >= depth:
-            found.append(TorsionCharacter.trivial(self.b1))
-        return tuple(found)
-
     def to_json_dict(self) -> dict:
         return {
             "scan_bound": self.scan_bound,
@@ -614,7 +581,7 @@ class JumpingLocusReport:
     def from_json_dict(cls, data: Mapping) -> "JumpingLocusReport":
         report = cls(
             data["scan_bound"],
-            operator.index(data["b1"]),
+            data["b1"],
             tuple(JumpEntry.from_json_dict(e) for e in data["entries"]),
         )
         if operator.index(data["exponent"]) != report.exponent:

@@ -63,7 +63,6 @@ class FibrationProfile:
 
     fiber_genus: int
     base_genus: int
-    has_multiple_fibers: bool
 
     def __post_init__(self) -> None:
         if self.fiber_genus < 2:
@@ -100,7 +99,7 @@ def cartwright_steger_profile() -> tuple[SurfaceInvariants, FibrationProfile]:
     """
     return (
         SurfaceInvariants(K2=9, chi=1, q=1, pg=1),
-        FibrationProfile(fiber_genus=19, base_genus=1, has_multiple_fibers=False),
+        FibrationProfile(fiber_genus=19, base_genus=1),
     )
 
 

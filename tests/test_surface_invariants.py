@@ -28,7 +28,6 @@ def test_cartwright_steger_profile():
     assert surface.pg == 1  # forced by chi = 1 - q + p_g
     assert fibration.fiber_genus == 19
     assert fibration.base_genus == 1
-    assert not fibration.has_multiple_fibers
 
 
 def test_noether_is_enforced():
@@ -102,7 +101,7 @@ def test_fibration_profile_needs_hyperbolic_fiber():
     from slopekit.errors import SlopekitError
 
     with pytest.raises(SlopekitError):
-        FibrationProfile(1, 1, False)
+        FibrationProfile(1, 1)
 
 
 def test_family_params_validation():
