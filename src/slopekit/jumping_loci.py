@@ -184,7 +184,7 @@ def _reduce_mod_cyclotomic(modulus: int, vec: list[int]) -> list[int]:
 # Torsion characters
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TorsionCharacter:
     """A finite-order character of Z^b, in canonical (exact-order) form.
 
@@ -225,13 +225,6 @@ class TorsionCharacter:
     def order(self) -> int:
         return self.modulus
 
-    @property
-    def rank(self) -> int:
-        return len(self.exponents)
-
-    def is_trivial(self) -> bool:
-        return self.modulus == 1
-
     def pairing(self, vector: Sequence[int]) -> int:
         """Exponent (mod modulus) of the character value on a lattice vector."""
         if len(vector) != len(self.exponents):
@@ -251,27 +244,29 @@ class TorsionCharacter:
 
 
 def _fox_row_at_character(
-    relator: Sequence[int],
+    steps: Sequence[tuple[int, bool]],
     shifts: Sequence[int],
     generator_count: int,
     modulus: int,
 ) -> list[CyclotomicNumber]:
     """Evaluate all Fox derivatives of one relator at a character.
 
-    Letters are processed left to right while tracking the character value
-    of the prefix, so this works even when H1 has torsion (the character
-    only sees the free quotient).  Each derivative is an integer combination
-    of powers of zeta_m, accumulated and reduced on ints.
+    The relator comes as its compiled (column, positive) steps, one per
+    letter (see _Evaluator).  Letters are processed left to right while
+    tracking the character value of the prefix, so this works even when H1
+    has torsion (the character only sees the free quotient).  Each
+    derivative is an integer combination of powers of zeta_m, accumulated
+    and reduced on ints.
     """
     vecs = [[0] * modulus for _ in range(generator_count)]
     s = 0
-    for letter in relator:
-        if letter > 0:
-            vecs[letter - 1][s] += 1
-            s = (s + shifts[letter - 1]) % modulus
+    for col, positive in steps:
+        if positive:
+            vecs[col][s] += 1
+            s = (s + shifts[col]) % modulus
         else:
-            s = (s - shifts[-letter - 1]) % modulus
-            vecs[-letter - 1][s] -= 1
+            s = (s - shifts[col]) % modulus
+            vecs[col][s] -= 1
     return [CyclotomicNumber(modulus, vec) for vec in vecs]
 
 
@@ -289,8 +284,8 @@ def evaluate_alexander_matrix(
     evaluator = _evaluator(presentation)
     shifts = evaluator.shifts(character)
     return [
-        _fox_row_at_character(letters, shifts, evaluator.generator_count, character.modulus)
-        for letters in evaluator.relators
+        _fox_row_at_character(steps, shifts, evaluator.generator_count, character.modulus)
+        for steps in evaluator.steps
     ]
 
 
@@ -409,16 +404,34 @@ def _rank_mod_p(rows: list[list[int]], p: int, bound: int) -> int:
     return rank
 
 
+def _basis_lookup(images: Sequence[Sequence[int]]) -> operator.itemgetter | None:
+    """An itemgetter taking a character's exponents to its shifts, when every
+    generator image is a standard basis vector and there are at least two
+    (itemgetter of one index returns a scalar, not a tuple); else None."""
+    indices = []
+    for image in images:
+        if image.count(1) != 1 or image.count(0) != len(image) - 1:
+            return None
+        indices.append(image.index(1))
+    return operator.itemgetter(*indices) if len(indices) > 1 else None
+
+
 class _Evaluator:
     """Everything h^1 needs from one presentation, computed once.
 
     Holds the free rank and generator images of the free abelianization,
-    the relator letter tuples, g and the rank bound min(r, g - 1); the
-    presentation itself is kept for the exact fallback.  Reached through
-    _evaluator, so a scan shares one evaluator across all its characters.
+    g and the rank bound min(r, g - 1); the presentation itself is kept for
+    the exact fallback.  Each relator is compiled into its steps, one
+    (column, positive) pair per letter: the generator's column in the Fox
+    row and the letter's sign, read by both the F_p walk and the exact
+    Z[zeta_m] rows.  When every generator image is a standard basis vector
+    (surface groups, relators that are products of commutators) the shifts
+    are a lookup, ``pick``, an itemgetter over the basis indices; any other
+    image keeps the dot product.  Reached through _evaluator, so a scan
+    shares one evaluator across all its characters.
     """
 
-    __slots__ = ("presentation", "rank", "images", "relators", "generator_count", "bound")
+    __slots__ = ("presentation", "rank", "images", "pick", "steps", "generator_count", "bound")
 
     def __init__(self, presentation: GroupPresentation):
         fa = free_abelianization(presentation)
@@ -426,9 +439,13 @@ class _Evaluator:
         self.presentation = presentation
         self.rank = fa.rank
         self.images = fa.generator_images
-        self.relators = tuple(word.letters for word in presentation.relators)
+        self.pick = _basis_lookup(self.images)
+        self.steps = tuple(
+            tuple((abs(letter) - 1, letter > 0) for letter in word.letters)
+            for word in presentation.relators
+        )
         self.generator_count = g
-        self.bound = min(len(self.relators), g - 1)
+        self.bound = min(len(self.steps), g - 1)
 
     def shifts(self, character: TorsionCharacter) -> Sequence[int]:
         """Exponent of the character's value on each generator, after checking
@@ -438,6 +455,9 @@ class _Evaluator:
             raise CharacterDomainError(
                 f"character has rank {len(exps)}, free abelianization has rank {self.rank}"
             )
+        if self.pick is not None:
+            # canonical exponents already lie in range(modulus)
+            return self.pick(exps)
         m = character.modulus
         return [sum(map(operator.mul, image, exps)) % m for image in self.images]
 
@@ -450,17 +470,17 @@ class _Evaluator:
         g, bound = self.generator_count, self.bound
         p, powers = _fp_root_powers(m)
         rows = []
-        for relator in self.relators:
+        for steps in self.steps:
             # the Fox row of one relator, mapped to F_p by zeta_m -> omega
             row = [0] * g
             s = 0
-            for letter in relator:
-                if letter > 0:
-                    row[letter - 1] += powers[s]
-                    s = (s + shifts[letter - 1]) % m
+            for col, positive in steps:
+                if positive:
+                    row[col] += powers[s]
+                    s = (s + shifts[col]) % m
                 else:
-                    s = (s - shifts[-letter - 1]) % m
-                    row[-letter - 1] -= powers[s]
+                    s = (s - shifts[col]) % m
+                    row[col] -= powers[s]
             rows.append([x % p for x in row])
         rank = _rank_mod_p(rows, p, bound)
         if rank < bound:
@@ -504,7 +524,7 @@ def twisted_h1(presentation: GroupPresentation, character: TorsionCharacter) -> 
 # Jumping locus reports
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JumpEntry:
     """A nontrivial character together with its depth (h^1 value >= 1)."""
 
@@ -554,16 +574,18 @@ class JumpingLocusReport:
         )
         exponent = 1
         for entry in entries:
-            order = entry.character.order
-            if entry.character.is_trivial():
+            character = entry.character
+            order = character.modulus
+            if order == 1:
                 raise SlopekitError("the trivial character is tracked by b1, not by entries")
             if bound is not None and order > bound:
                 raise SlopekitError(f"entry of order {order} exceeds the scan bound {bound}")
             if entry.depth < 1:
                 raise SlopekitError("entries must have depth >= 1")
-            if entry.character.rank != self.b1:
+            rank = len(character.exponents)
+            if rank != b1:
                 raise CharacterDomainError(
-                    f"entry character rank {entry.character.rank} does not match b1 {self.b1}"
+                    f"entry character rank {rank} does not match b1 {b1}"
                 )
             exponent = lcm(exponent, order)
         object.__setattr__(self, "entries", entries)

@@ -4,6 +4,8 @@ Plain functions over the library's own value types, written for clarity
 rather than speed; nothing in the library calls them.
 """
 
+from fractions import Fraction
+
 from slopekit.group_core import (
     IntegerMatrix,
     LaurentPolynomial,
@@ -56,7 +58,7 @@ def root_powers(modulus, powers):
 
 def evaluate_laurent(poly, character):
     """Specialize a Laurent polynomial at the character's root of unity."""
-    if poly.variables != character.rank:
+    if poly.variables != len(character.exponents):
         raise ValueError("polynomial variables do not match character rank")
     powers = {}
     for exps, coeff in poly.terms.items():
@@ -74,3 +76,46 @@ def matmul(a, b):
         for i in range(a.rows)
     ]
     return IntegerMatrix(product, rows=a.rows, cols=b.cols)
+
+
+def rational_rank(rows):
+    """Rank over Q by plain Gaussian elimination on Fractions."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    cols = len(work[0]) if work else 0
+    for col in range(cols):
+        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = 1 / work[rank][col]
+        work[rank] = [inv * x for x in work[rank]]
+        for i in range(len(work)):
+            if i != rank and work[i][col]:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+def rational_det(rows):
+    """Determinant over Q by Gaussian elimination on Fractions."""
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    work = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if work[i][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            work[col], work[piv] = work[piv], work[col]
+            det = -det
+        det *= work[col][col]
+        inv = 1 / work[col][col]
+        for i in range(col + 1, n):
+            if work[i][col]:
+                f = work[i][col] * inv
+                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
+    return det

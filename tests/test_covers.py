@@ -21,7 +21,7 @@ from slopekit.group_core import (
     torus_group,
 )
 
-from test_group_core import rational_det
+from _oracles import rational_det
 
 
 def test_epimorphism_validation():

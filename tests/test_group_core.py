@@ -1,7 +1,6 @@
 """Words, Smith normal form, abelianization, and Fox calculus."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -28,7 +27,14 @@ from slopekit.group_core import (
     trefoil_group,
 )
 
-from _oracles import laurent_add, laurent_mul, matmul, word_monomial
+from _oracles import (
+    laurent_add,
+    laurent_mul,
+    matmul,
+    rational_det,
+    rational_rank,
+    word_monomial,
+)
 
 # ---------------------------------------------------------------------------
 # Independent oracles, used only by this test module.
@@ -46,49 +52,6 @@ def naive_reduce(letters):
                 changed = True
                 break
     return tuple(out)
-
-
-def rational_rank(rows):
-    """Rank over Q by plain Gaussian elimination on Fractions."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(work[0]) if work else 0
-    for col in range(cols):
-        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [inv * x for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-    return rank
-
-
-def rational_det(rows):
-    """Determinant over Q by Gaussian elimination on Fractions."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    work = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if work[i][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = 1 / work[col][col]
-        for i in range(col + 1, n):
-            if work[i][col]:
-                f = work[i][col] * inv
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    return det
 
 
 def random_word(rng, generator_count, max_len=12):

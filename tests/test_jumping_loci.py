@@ -136,7 +136,7 @@ def test_character_canonicalization():
     assert TorsionCharacter(6, (2,)) == TorsionCharacter(3, (1,))
     assert TorsionCharacter(6, (8, 2)) == TorsionCharacter(3, (1, 1))
     trivial = TorsionCharacter(7, (0, 0))
-    assert trivial.is_trivial() and trivial.modulus == 1
+    assert trivial.modulus == 1 and trivial.exponents == (0, 0)
     assert TorsionCharacter.trivial(2) == trivial
 
 
@@ -537,6 +537,37 @@ def test_twisted_h1_alternating_presentations_matches_fresh_evaluation():
         # a character of another presentation's rank is refused, whatever ran before
         with pytest.raises(CharacterDomainError, match="free abelianization has rank 2"):
             twisted_h1(torus_group(), TorsionCharacter(2, (1, 0, 0, 0)))
+
+
+def test_evaluator_h1_matches_the_exact_rank_for_every_class_of_generator_image():
+    # (presentation, generator images, whether the shifts are a basis lookup)
+    cases = [
+        (surface_group(2), ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), True),
+        # a shared unit: <a, b | a B>
+        (GroupPresentation(2, ((1, -2),)), ((1,), (1,)), True),
+        # a negative unit: <a, b | a b>
+        (GroupPresentation(2, ((1, 2),)), ((1,), (-1,)), False),
+        # a zero image: <a, b, c | a a b c B C>
+        (GroupPresentation(3, ((1, 1, 2, 3, -2, -3),)), ((0, 0), (1, 0), (0, 1)), False),
+        # one generator: an itemgetter of one index would return a scalar
+        (GroupPresentation(1, ()), ((1,),), False),
+    ]
+    for presentation, images, lookup in cases:
+        evaluator = jumping_loci._Evaluator(presentation)
+        assert evaluator.images == images
+        assert (evaluator.pick is not None) == lookup
+        g, rank = presentation.generator_count, len(images[0])
+        assert evaluator.h1(TorsionCharacter.trivial(rank)) == rank
+        for xi in _enumerate_characters(rank, 6):
+            assert list(evaluator.shifts(xi)) == [xi.pairing(image) for image in images]
+            exact = g - 1 - cyclotomic_rank(evaluate_alexander_matrix(presentation, xi))
+            assert evaluator.h1(xi) == exact
+    # the rank check runs before the lookup, which alone would read the first
+    # four exponents of a rank-5 character
+    genus2 = jumping_loci._Evaluator(surface_group(2))
+    assert genus2.pick is not None
+    with pytest.raises(CharacterDomainError, match="rank 5, free abelianization has rank 4"):
+        genus2.h1(TorsionCharacter(2, (1, 0, 0, 0, 1)))
 
 
 def test_report_json_roundtrip():

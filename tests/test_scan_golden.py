@@ -22,6 +22,8 @@ GROUPS = {
     "torsion": "generators: a b c\nrelator: a a b c B C\n",
     # H1 = Z/2 + Z/3, b1 = 0
     "finite": "generators: a b\nrelator: a a\nrelator: b b b\n",
+    # generator images (0,1), (0,-1), (1,0), (0,0): not the standard basis
+    "images": "generators: a b c d\nrelator: a b\nrelator: a c A C d\n",
 }
 
 GOLDEN = [
@@ -38,6 +40,13 @@ GOLDEN = [
     ("torsion", 6, "text", "895a68e4e79e5bdd33a1db394aa030262f0b56be361ab0fcc2b97a90e555c6c0"),
     ("finite", 5, "json", "551e5e5db964dd6a0461261d110c5170ce524834dc76b2466a6a587926eb27ca"),
     ("finite", 5, "text", "68f65cdccacfe0b127aa2de2453a437c811d1bb3487280eb7689be5e13bcc4a3"),
+    # Taken before the shifts became a basis lookup, so they pin the dot
+    # product that generator images off the standard basis still take.  The
+    # group is free on a and c, so like "torsion" every nontrivial character
+    # of rank 2 up to order 6 jumps with depth 1: 71 entries, exponent 60,
+    # the same bytes.
+    ("images", 6, "json", "bb08df780dc63df4922d473df6b058e7d423e24d032b417067b16a3a5d8eccc6"),
+    ("images", 6, "text", "895a68e4e79e5bdd33a1db394aa030262f0b56be361ab0fcc2b97a90e555c6c0"),
 ]
 
 
