@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from io import StringIO
 from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
@@ -214,21 +215,21 @@ def _json_text(obj) -> str:
 
 # A scan report can run to megabytes, and `json.dumps` with `indent` falls back
 # to the pure-Python encoder; these templates print the same bytes as
-# `_json_text(report.to_json_dict())` in one pass.  An entry's character is
-# nontrivial, so its exponent list is never empty.
+# `_json_text(report.to_json_dict())` in one pass.  Every entry has rank b1, so
+# one entry template per report, with one %d per exponent, prints them all.  An
+# entry's character is nontrivial, so a report with entries has b1 >= 1.
 _SCAN_JSON = '{\n  "b1": %d,\n  "entries": %s,\n  "exponent": %d,\n  "scan_bound": %s\n}\n'
-_SCAN_JSON_ENTRY = (
-    '    {\n      "depth": %d,\n      "exponents": [\n        %s\n      ],\n'
-    '      "modulus": %d\n    }'
-)
+_SCAN_TEXT = "scan bound: %s\nb1: %d\nexponent: %d\nnontrivial entries: %d\n"
 
 
 def _scan_json(report: JumpingLocusReport) -> str:
+    entry = (
+        '    {\n      "depth": %d,\n      "exponents": [\n'
+        + ",\n".join(["        %d"] * report.b1)
+        + '\n      ],\n      "modulus": %d\n    }'
+    )
     entries = ",\n".join([
-        _SCAN_JSON_ENTRY % (
-            e.depth, ",\n        ".join(map(str, e.character.exponents)), e.character.modulus
-        )
-        for e in report.entries
+        entry % (e.depth, *e.character.exponents, e.character.modulus) for e in report.entries
     ])
     return _SCAN_JSON % (
         report.b1,
@@ -239,18 +240,14 @@ def _scan_json(report: JumpingLocusReport) -> str:
 
 
 def _scan_text(report: JumpingLocusReport) -> str:
-    lines = [
-        f"scan bound: {report.scan_bound}",
-        f"b1: {report.b1}",
-        f"exponent: {report.exponent}",
-        f"nontrivial entries: {len(report.entries)}",
-    ]
-    lines += [
-        "  order %d exponents %s: depth %d"
-        % (e.character.modulus, list(e.character.exponents), e.depth)
-        for e in report.entries
-    ]
-    return "\n".join(lines) + "\n"
+    entry = "  order %d exponents [" + ", ".join(["%d"] * report.b1) + "]: depth %d\n"
+    return (
+        _SCAN_TEXT % (report.scan_bound, report.b1, report.exponent, len(report.entries))
+        + "".join([
+            entry % (e.character.modulus, *e.character.exponents, e.depth)
+            for e in report.entries
+        ])
+    )
 
 
 # Density entries are their certificate rows; each template picks the 12 ints
@@ -545,8 +542,15 @@ _CONVERTERS = {
 }
 
 
+# Built on the first main call, not at import, and kept: building it costs
+# about a millisecond, as much as a small command itself.
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.subcommand == "scan" and args.max_order < 1:
         parser.error("--max-order must be >= 1")

@@ -12,7 +12,9 @@ over the field Q(zeta_m) in two steps:
   omega of exact order m mod p.  zeta_m -> omega is a ring map
   Z[zeta_m] -> F_p, so the rank of the Fox rows evaluated straight into F_p
   is a lower bound; the rank is at most min(r, g - 1) (r relators, g
-  generators), so an F_p rank at that bound is the rank.
+  generators), so an F_p rank at that bound is the rank.  With one relator
+  and g >= 2 the bound is 1, and the first Fox column found nonzero mod p
+  settles it, before the rest of the row is walked.
 * the exact route for every other character - those of rank below
   min(r, g - 1), and any whose nonzero minors of that size all vanish mod
   p: each Fox derivative is stored as its integer residue vector mod Phi_m,
@@ -217,10 +219,6 @@ class TorsionCharacter:
         object.__setattr__(character, "exponents", exponents)
         return character
 
-    @classmethod
-    def trivial(cls, rank: int) -> "TorsionCharacter":
-        return cls(1, tuple([0] * rank))
-
     @property
     def order(self) -> int:
         return self.modulus
@@ -416,6 +414,18 @@ def _basis_lookup(images: Sequence[Sequence[int]]) -> operator.itemgetter | None
     return operator.itemgetter(*indices) if len(indices) > 1 else None
 
 
+def _column_segments(steps: Sequence[tuple[int, bool]]) -> tuple:
+    """Cut a relator's steps after each letter that is the last of its
+    column: (steps, column) pairs, the column complete at the segment's end."""
+    last = {col: i for i, (col, _) in enumerate(steps)}
+    segments, start = [], 0
+    for i, (col, _) in enumerate(steps):
+        if last[col] == i:
+            segments.append((steps[start:i + 1], col))
+            start = i + 1
+    return tuple(segments)
+
+
 class _Evaluator:
     """Everything h^1 needs from one presentation, computed once.
 
@@ -429,9 +439,18 @@ class _Evaluator:
     are a lookup, ``pick``, an itemgetter over the basis indices; any other
     image keeps the dot product.  Reached through _evaluator, so a scan
     shares one evaluator across all its characters.
+
+    The F_p walk reads the steps as ``segments``, one tuple of
+    (steps, column) pairs per relator.  With one relator and g >= 2 the
+    rank bound is 1, so any Fox entry nonzero mod p is a certificate: the
+    relator is cut after each letter that is the last of its column, and
+    that column, complete there, is tested before the walk goes on.  Any
+    other presentation has one segment per relator, with column None.
     """
 
-    __slots__ = ("presentation", "rank", "images", "pick", "steps", "generator_count", "bound")
+    __slots__ = (
+        "presentation", "rank", "images", "pick", "steps", "segments", "generator_count", "bound"
+    )
 
     def __init__(self, presentation: GroupPresentation):
         fa = free_abelianization(presentation)
@@ -446,6 +465,10 @@ class _Evaluator:
         )
         self.generator_count = g
         self.bound = min(len(self.steps), g - 1)
+        if len(self.steps) == 1 and g >= 2:
+            self.segments = (_column_segments(self.steps[0]),)
+        else:
+            self.segments = tuple(((steps, None),) for steps in self.steps)
 
     def shifts(self, character: TorsionCharacter) -> Sequence[int]:
         """Exponent of the character's value on each generator, after checking
@@ -470,17 +493,20 @@ class _Evaluator:
         g, bound = self.generator_count, self.bound
         p, powers = _fp_root_powers(m)
         rows = []
-        for steps in self.steps:
+        for segments in self.segments:
             # the Fox row of one relator, mapped to F_p by zeta_m -> omega
             row = [0] * g
             s = 0
-            for col, positive in steps:
-                if positive:
-                    row[col] += powers[s]
-                    s = (s + shifts[col]) % m
-                else:
-                    s = (s - shifts[col]) % m
-                    row[col] -= powers[s]
+            for steps, done in segments:
+                for col, positive in steps:
+                    if positive:
+                        row[col] += powers[s]
+                        s = (s + shifts[col]) % m
+                    else:
+                        s = (s - shifts[col]) % m
+                        row[col] -= powers[s]
+                if done is not None and row[done] % p:
+                    return g - 2  # one relator: the rank bound 1 is reached
             rows.append([x % p for x in row])
         rank = _rank_mod_p(rows, p, bound)
         if rank < bound:
@@ -569,25 +595,38 @@ class JumpingLocusReport:
         if b1 < 0:
             raise SlopekitError(f"b1 must be >= 0, got {b1}")
         object.__setattr__(self, "b1", b1)
-        entries = tuple(
-            sorted(self.entries, key=lambda e: (e.character.modulus, e.character.exponents))
-        )
+        # A scan lists its entries in (order, exponents) order already; the
+        # check pass notes whether they ascend, and only others are sorted.
+        entries = tuple(self.entries)
         exponent = 1
+        ascending = True
+        last_order, last_exponents = 1, ()
         for entry in entries:
             character = entry.character
             order = character.modulus
+            exponents = character.exponents
+            if order != last_order:
+                ascending = ascending and order > last_order
+                exponent = lcm(exponent, order)
+                last_order = order
+            elif exponents < last_exponents:
+                ascending = False
+            last_exponents = exponents
             if order == 1:
                 raise SlopekitError("the trivial character is tracked by b1, not by entries")
             if bound is not None and order > bound:
                 raise SlopekitError(f"entry of order {order} exceeds the scan bound {bound}")
             if entry.depth < 1:
                 raise SlopekitError("entries must have depth >= 1")
-            rank = len(character.exponents)
+            rank = len(exponents)
             if rank != b1:
                 raise CharacterDomainError(
                     f"entry character rank {rank} does not match b1 {b1}"
                 )
-            exponent = lcm(exponent, order)
+        if not ascending:
+            entries = tuple(
+                sorted(entries, key=lambda e: (e.character.modulus, e.character.exponents))
+            )
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "exponent", exponent)
 

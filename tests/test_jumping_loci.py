@@ -114,7 +114,7 @@ def test_non_integral_coefficient_arithmetic_and_rank():
 def test_alexander_matrix_entries_are_ints():
     genus2 = surface_group(2)
     for xi in (TorsionCharacter(5, (1, 2, 3, 4)), TorsionCharacter(12, (1, 0, 7, 6)),
-               TorsionCharacter.trivial(4)):
+               TorsionCharacter(1, (0,) * 4)):
         rows = evaluate_alexander_matrix(genus2, xi)
         assert all(type(c) is int for row in rows for x in row for c in x.coeffs)
 
@@ -137,7 +137,7 @@ def test_character_canonicalization():
     assert TorsionCharacter(6, (8, 2)) == TorsionCharacter(3, (1, 1))
     trivial = TorsionCharacter(7, (0, 0))
     assert trivial.modulus == 1 and trivial.exponents == (0, 0)
-    assert TorsionCharacter.trivial(2) == trivial
+    assert TorsionCharacter(1, (0,) * 2) == trivial
 
 
 def test_character_takes_ints_only():
@@ -184,7 +184,7 @@ def test_evaluate_examples():
     assert rows[0][1].coeffs == (-2,)
 
     # trivial character gives the integer exponent matrix (relators as rows)
-    rows = evaluate_alexander_matrix(trefoil_group(), TorsionCharacter.trivial(1))
+    rows = evaluate_alexander_matrix(trefoil_group(), TorsionCharacter(1, (0,) * 1))
     assert [x.coeffs[0] for x in rows[0]] == [1, -1]
 
     rows = evaluate_alexander_matrix(trefoil_group(), TorsionCharacter(6, (1,)))
@@ -217,7 +217,7 @@ def test_character_rank_mismatch_rejected():
     with pytest.raises(CharacterDomainError):
         twisted_h1(torus_group(), TorsionCharacter(3, (1, 1, 1)))
     with pytest.raises(CharacterDomainError, match="character has rank 3"):
-        twisted_h1(torus_group(), TorsionCharacter.trivial(3))
+        twisted_h1(torus_group(), TorsionCharacter(1, (0,) * 3))
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +227,13 @@ def test_character_rank_mismatch_rejected():
 def test_twisted_h1_examples():
     torus = torus_group()
     assert twisted_h1(torus, TorsionCharacter(2, (1, 0))) == 0
-    assert twisted_h1(torus, TorsionCharacter.trivial(2)) == 2
+    assert twisted_h1(torus, TorsionCharacter(1, (0,) * 2)) == 2
     genus2 = surface_group(2)
     assert twisted_h1(genus2, TorsionCharacter(2, (1, 1, 0, 1))) == 2
     assert twisted_h1(genus2, TorsionCharacter(5, (1, 2, 3, 4))) == 2
     assert twisted_h1(free_group(2), TorsionCharacter(3, (1, 2))) == 1
     # groups with torsion route through evaluation: Z/5 has h^1 = 0 at 1
-    assert twisted_h1(cyclic_group(5), TorsionCharacter.trivial(0)) == 0
+    assert twisted_h1(cyclic_group(5), TorsionCharacter(1, (0,) * 0)) == 0
 
 
 def test_twisted_h1_trivial_character_is_free_rank():
@@ -244,7 +244,7 @@ def test_twisted_h1_trivial_character_is_free_rank():
         (free_group(3), 3),
         (cyclic_group(4), 0),
     ):
-        assert twisted_h1(presentation, TorsionCharacter.trivial(rank)) == rank
+        assert twisted_h1(presentation, TorsionCharacter(1, (0,) * rank)) == rank
 
 
 def test_twisted_h1_is_galois_invariant():
@@ -308,6 +308,76 @@ def test_twisted_h1_matches_exact_elimination():
     check()
 
 
+def test_one_relator_h1_matches_exact_elimination():
+    # One relator and g >= 2 stop the F_p walk at the first column that is
+    # complete and nonzero mod p; every class of one-relator group below must
+    # still give g - 1 - the exact rank.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    seen = set()
+
+    @st.composite
+    def group_and_character(draw):
+        gens = draw(st.integers(1, 4))
+        used = draw(st.lists(st.integers(1, gens), min_size=1, max_size=gens, unique=True))
+        letters = st.sampled_from(used).flatmap(lambda i: st.sampled_from((i, -i)))
+        relator = draw(st.lists(letters, max_size=12))
+        if draw(st.booleans()):
+            # exponent sums 0: every generator image is a standard basis vector
+            relator += [-x for x in draw(st.permutations(relator))]
+        presentation = GroupPresentation(gens, (relator,))
+        rank = free_abelianization(presentation).rank
+        m = draw(st.integers(1, 12))
+        exponents = draw(st.lists(st.integers(0, m - 1), min_size=rank, max_size=rank))
+        return presentation, TorsionCharacter(m, tuple(exponents))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(group_and_character())
+    @hypothesis.example((GroupPresentation(1, ((1, 1, 1),)), TorsionCharacter(1, ())))
+    @hypothesis.example((GroupPresentation(1, ((),)), TorsionCharacter(4, (1,))))
+    @hypothesis.example((GroupPresentation(3, ((1, 2, -1, -2),)), TorsionCharacter(5, (1, 2, 3))))
+    @hypothesis.example((GroupPresentation(2, ((1, 1, 2, -1, -1, -2),)), TorsionCharacter(6, (3, 1))))
+    def check(case):
+        presentation, xi = case
+        g = presentation.generator_count
+        evaluator = jumping_loci._evaluator(presentation)
+        seen.add("g = 1" if g == 1 else "basis" if evaluator.pick is not None else "other")
+        used = {abs(x) for x in presentation.relators[0].letters}
+        if len(used) < g:
+            seen.add("omitted generator")
+        if xi.modulus == 1:
+            assert twisted_h1(presentation, xi) == evaluator.rank
+            return
+        seen.add("nontrivial")
+        exact = cyclotomic_rank(evaluate_alexander_matrix(presentation, xi))
+        assert twisted_h1(presentation, xi) == g - 1 - exact
+
+    check()
+    assert seen == {"g = 1", "basis", "other", "omitted generator", "nontrivial"}
+
+
+def test_a_vanishing_one_relator_row_reaches_the_exact_fallback(monkeypatch):
+    # <x, y | x^2 y x^-2 y^-1>: the Fox row (1 + x - x^2 y x^-1 - x^2 y x^-2,
+    # x^2 - 1) vanishes exactly when chi(x) = -1, and nowhere else.  No column
+    # can certify those characters, so each must reach the Z[zeta_m] rank.
+    group = GroupPresentation(2, ((1, 1, 2, -1, -1, -2),))
+    original = jumping_loci.evaluate_alexander_matrix
+    exact = []
+
+    def counted(presentation, xi):
+        exact.append(xi)
+        return original(presentation, xi)
+
+    monkeypatch.setattr(jumping_loci, "evaluate_alexander_matrix", counted)
+    report = scan_jumping_loci(group, 8)
+    assert report.b1 == 2 and report.exponent == 24
+    assert [e.depth for e in report.entries] == [1] * 12
+    orders = [e.character.modulus for e in report.entries]
+    assert [orders.count(m) for m in (2, 4, 6, 8)] == [2, 2, 4, 4]
+    assert all(2 * xi.exponents[0] == xi.modulus for xi in exact)
+    assert exact == [e.character for e in report.entries]
+
+
 def test_fp_root_table():
     for n in (2047, 1373653, 3215031751, 3825123056546413051):  # strong pseudoprimes
         assert not _is_prime(n)
@@ -354,7 +424,7 @@ def test_twisted_h1_falls_back_when_p_divides_a_minor(monkeypatch):
 def test_enumeration_is_canonical_and_ordered():
     expected = sorted(
         {TorsionCharacter(m, e) for m in range(2, 7) for e in itertools.product(range(m), repeat=3)}
-        - {TorsionCharacter.trivial(3)},
+        - {TorsionCharacter(1, (0,) * 3)},
         key=lambda xi: (xi.modulus, xi.exponents),
     )
     assert list(_enumerate_characters(3, 6)) == expected
@@ -557,7 +627,7 @@ def test_evaluator_h1_matches_the_exact_rank_for_every_class_of_generator_image(
         assert evaluator.images == images
         assert (evaluator.pick is not None) == lookup
         g, rank = presentation.generator_count, len(images[0])
-        assert evaluator.h1(TorsionCharacter.trivial(rank)) == rank
+        assert evaluator.h1(TorsionCharacter(1, (0,) * rank)) == rank
         for xi in _enumerate_characters(rank, 6):
             assert list(evaluator.shifts(xi)) == [xi.pairing(image) for image in images]
             exact = g - 1 - cyclotomic_rank(evaluate_alexander_matrix(presentation, xi))
@@ -570,6 +640,20 @@ def test_evaluator_h1_matches_the_exact_rank_for_every_class_of_generator_image(
         genus2.h1(TorsionCharacter(2, (1, 0, 0, 0, 1)))
 
 
+def test_report_sorts_only_entries_that_do_not_ascend():
+    report = scan_jumping_loci(free_group(2), 4)
+    entries = report.entries
+    assert len(entries) == 23  # every nontrivial character, depth 1
+    # a scan's entries already ascend and are kept as they are
+    assert JumpingLocusReport(4, 2, entries).entries is entries
+    # out of order across orders, and within one order
+    first, second = entries[0], entries[1]
+    assert first.character.modulus == second.character.modulus
+    for shuffled in (entries[::-1], (second, first) + entries[2:]):
+        again = JumpingLocusReport(4, 2, shuffled)
+        assert again.entries == entries and again == report and again.exponent == 12
+
+
 def test_report_json_roundtrip():
     report = scan_jumping_loci(surface_group(2), 2)
     data = report.to_json_dict()
@@ -579,7 +663,7 @@ def test_report_json_roundtrip():
 
 def test_report_validation():
     with pytest.raises(SlopekitError):
-        JumpingLocusReport(None, 2, (JumpEntry(TorsionCharacter.trivial(2), 1),))
+        JumpingLocusReport(None, 2, (JumpEntry(TorsionCharacter(1, (0,) * 2), 1),))
     with pytest.raises(SlopekitError):
         JumpingLocusReport(None, 2, (JumpEntry(TorsionCharacter(2, (1, 0)), 0),))
     # the exponent is derived; a stated one must agree with it

@@ -24,6 +24,9 @@ GROUPS = {
     "finite": "generators: a b\nrelator: a a\nrelator: b b b\n",
     # generator images (0,1), (0,-1), (1,0), (0,0): not the standard basis
     "images": "generators: a b c d\nrelator: a b\nrelator: a c A C d\n",
+    # the whole Fox row vanishes at chi(x) = -1
+    "vanishing": "generators: x y\nrelator: x x y X X Y\n",
+    "trefoil": "generators: x y\nrelator: x y x Y X Y\n",
 }
 
 GOLDEN = [
@@ -47,6 +50,17 @@ GOLDEN = [
     # the same bytes.
     ("images", 6, "json", "bb08df780dc63df4922d473df6b058e7d423e24d032b417067b16a3a5d8eccc6"),
     ("images", 6, "text", "895a68e4e79e5bdd33a1db394aa030262f0b56be361ab0fcc2b97a90e555c6c0"),
+    # Taken before a one-relator h^1 stopped at the first nonzero Fox column
+    # and before the entries printed from one template per rank.  12 entries
+    # of depth 1 (2, 2, 4, 4 at orders 2, 4, 6, 8), exponent 24, each from
+    # the exact fallback.
+    ("vanishing", 8, "json", "76d1857a7c9fa471e3ac6985b3ed661adba92a8ff76db22be611db622d87fe44"),
+    ("vanishing", 8, "text", "d7478181ffe81d9d92d460dc6f31a3056fa070dad54efb88ba67611af62c6ac4"),
+    # rank 1: 2 entries of order 6
+    ("trefoil", 12, "json", "f6d777d87dca7d6859630d531c6181e67e84b8df0603e8334becd93c2397a56f"),
+    ("trefoil", 12, "text", "85735d54f167a4d67d5fca5ca6b5a507f78fb2fd9f3171a8be49a1a25b4001ed"),
+    # 4,823 entries of depth 4, exponent 12
+    ("genus3", 4, "text", "690122d11b68dcb4da2d2f0e4c0371b6074720ca086f888cb90dee7e1c242ef6"),
 ]
 
 
