@@ -17,7 +17,6 @@ import itertools
 import operator
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from math import lcm, prod
 from typing import Mapping, Sequence
 
@@ -75,25 +74,17 @@ class AbelianEpimorphism:
                 f"the group with invariant factors {factors}"
             )
 
-    @cached_property
-    def _block_smith_form(self) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
-        """Smith form (D, U, V) of the block matrix [A | N], N = diag(factors).
-
-        Both the surjectivity check and the kernel lattice read it, so it is
-        computed once per epimorphism.  Needs at least one factor.
-        """
+    def _is_surjective(self) -> bool:
+        """Whether the Smith form of the block matrix [A | N], N =
+        diag(factors), has all k leading invariant factors equal to 1."""
         k, b = len(self.factors), self.source_rank
+        if k == 0:
+            return True
         block = [
             list(self.matrix[j]) + [self.factors[j] if i == j else 0 for i in range(k)]
             for j in range(k)
         ]
-        return smith_normal_form(IntegerMatrix(block, rows=k, cols=b + k))
-
-    def _is_surjective(self) -> bool:
-        k = len(self.factors)
-        if k == 0:
-            return True
-        diag = self._block_smith_form[0].diagonal()
+        diag = smith_normal_form(IntegerMatrix(block, rows=k, cols=b + k))[0].diagonal()
         return len(diag) >= k and all(x == 1 for x in diag[:k])
 
     @classmethod
@@ -117,37 +108,6 @@ class AbelianEpimorphism:
         return tuple(
             sum(a * x for a, x in zip(row, vector)) % n
             for row, n in zip(self.matrix, self.factors)
-        )
-
-    def elements(self) -> list[tuple[int, ...]]:
-        """All elements of the target, in lexicographic order (identity first)."""
-        return list(itertools.product(*(range(n) for n in self.factors)))
-
-    def element_index(self, element: Sequence[int]) -> int:
-        idx = 0
-        for c, n in zip(element, self.factors):
-            idx = idx * n + (c % n)
-        return idx
-
-    def translate(self, element: Sequence[int], shift: Sequence[int]) -> tuple[int, ...]:
-        return tuple((c + s) % n for c, s, n in zip(element, shift, self.factors))
-
-    def kernel_lattice_basis(self) -> tuple[tuple[int, ...], ...]:
-        """Generators of the full-rank sublattice ker(alpha) of Z^source_rank.
-
-        Solves A x = -N y over Z for N = diag(factors): the kernel of the
-        block matrix [A | N] projected to the x coordinates.
-        """
-        k, b = len(self.factors), self.source_rank
-        if k == 0:
-            return tuple(
-                tuple(1 if i == j else 0 for j in range(b)) for i in range(b)
-            )
-        d, _, v = self._block_smith_form
-        diag = d.diagonal()
-        rank = sum(1 for x in diag if x)
-        return tuple(
-            tuple(v.entries[i][j] for i in range(b)) for j in range(rank, b + k)
         )
 
     def to_json_dict(self) -> dict:
@@ -191,11 +151,19 @@ def coset_action(
 
     Cosets are indexed by the lexicographic rank of their tuples, identity
     coset first; generator i acts by translation by alpha(image of x_i).
+    The rank of a tuple is the sum of its digits times their strides, so a
+    translate's rank is a sum over per-factor tables of ((x + s_j) mod n_j)
+    * stride_j, and itertools.product visits those tables in the same
+    lexicographic order as the cosets.
     """
     shifts = _generator_shifts(presentation, alpha)
-    elements = alpha.elements()
+    factors = alpha.factors
+    strides = [prod(factors[j + 1:]) for j in range(len(factors))]
     return [
-        [alpha.element_index(alpha.translate(e, shift)) for e in elements]
+        list(map(sum, itertools.product(*(
+            [(x + s) % n * stride for x in range(n)]
+            for s, n, stride in zip(shift, factors, strides)
+        ))))
         for shift in shifts
     ]
 

@@ -12,9 +12,10 @@ over the field Q(zeta_m) in two steps:
   omega of exact order m mod p.  zeta_m -> omega is a ring map
   Z[zeta_m] -> F_p, so the rank of the Fox rows evaluated straight into F_p
   is a lower bound; the rank is at most min(r, g - 1) (r relators, g
-  generators), so an F_p rank at that bound is the rank.  With one relator
-  and g >= 2 the bound is 1, and the first Fox column found nonzero mod p
-  settles it, before the rest of the row is walked.
+  generators), so an F_p rank at that bound is the rank.  The F_p rank is
+  taken fraction-free, without inverses.  With one relator and g >= 2 the
+  bound is 1, and the first Fox column found nonzero mod p settles it,
+  before the rest of the row is walked.
 * the exact route for every other character - those of rank below
   min(r, g - 1), and any whose nonzero minors of that size all vanish mod
   p: each Fox derivative is stored as its integer residue vector mod Phi_m,
@@ -31,9 +32,10 @@ recorded as (character, depth) pairs, together with the exponent (lcm of the
 orders occurring in W_1).  Two consumers are built on top:
 
 * Hironaka's formula for the first Betti number of the finite abelian cover
-  attached to an epimorphism alpha: G -> S, where each jumping character
-  factoring through alpha contributes its depth:
-  b_1(ker alpha) = b_1(G) + sum of depths of factoring characters.
+  attached to an epimorphism alpha: G -> S, summed over the dual group of S:
+  b_1(ker alpha) = b_1(G) + sum over chi in S^ - 1 of h^1(chi o alpha).
+  Each chi o alpha is put in canonical form and looked up in the report's
+  sorted entries; one that is not listed has h^1 = 0.
 * the coprime cover selector: when gcd(d, exponent) = 1, no nontrivial
   jumping character can factor through a cyclic quotient of order d, so the
   cover keeps b_1(G) - certified by the report, with no subgroup rewriting.
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
@@ -209,15 +212,6 @@ class TorsionCharacter:
         exps = tuple((e // g) % m for e in exps)
         object.__setattr__(self, "modulus", m)
         object.__setattr__(self, "exponents", exps)
-
-    @classmethod
-    def _canonical(cls, modulus: int, exponents: tuple[int, ...]) -> "TorsionCharacter":
-        """Wrap an exact-order character (exponents in range(modulus), gcd with
-        the modulus 1) without re-canonicalizing it."""
-        character = object.__new__(cls)
-        object.__setattr__(character, "modulus", modulus)
-        object.__setattr__(character, "exponents", exponents)
-        return character
 
     @property
     def order(self) -> int:
@@ -384,7 +378,11 @@ def _fp_root_powers(m: int) -> tuple[int, tuple[int, ...]]:
 
 def _rank_mod_p(rows: list[list[int]], p: int, bound: int) -> int:
     """Rank over F_p of rows with entries in range(p), counted up to bound;
-    the rows are consumed."""
+    the rows are consumed.
+
+    Elimination is fraction-free, row <- a * row - b * pivot with a the
+    pivot entry (a unit mod p), so no inverse is ever taken.
+    """
     rank = 0
     while rows and rank < bound:
         prow = rows.pop()
@@ -394,11 +392,11 @@ def _rank_mod_p(rows: list[list[int]], p: int, bound: int) -> int:
         if rank == bound:
             break
         col = next(j for j, x in enumerate(prow) if x)
-        inverse = pow(prow[col], -1, p)
+        a = prow[col]
         for i, row in enumerate(rows):
-            if row[col]:
-                f = row[col] * inverse % p
-                rows[i] = [(x - f * y) % p for x, y in zip(row, prow)]
+            b = row[col]
+            if b:
+                rows[i] = [(a * x - b * y) % p for x, y in zip(row, prow)]
     return rank
 
 
@@ -567,6 +565,12 @@ class JumpEntry:
         return cls(TorsionCharacter.from_json_dict(data), operator.index(data["depth"]))
 
 
+def _entry_key(entry: JumpEntry) -> tuple[int, tuple[int, ...]]:
+    """The (order, exponents) order in which a report keeps its entries."""
+    character = entry.character
+    return character.modulus, character.exponents
+
+
 @dataclass(frozen=True)
 class JumpingLocusReport:
     """Finite description of the W_i: nontrivial entries plus b_1.
@@ -624,9 +628,7 @@ class JumpingLocusReport:
                     f"entry character rank {rank} does not match b1 {b1}"
                 )
         if not ascending:
-            entries = tuple(
-                sorted(entries, key=lambda e: (e.character.modulus, e.character.exponents))
-            )
+            entries = tuple(sorted(entries, key=_entry_key))
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "exponent", exponent)
 
@@ -663,11 +665,27 @@ def cartwright_steger_report() -> JumpingLocusReport:
     return JumpingLocusReport(scan_bound=None, b1=2, entries=())
 
 
+# The slots of the frozen value classes, written through their member
+# descriptors: a scan builds its characters and entries already canonical,
+# so it skips __post_init__ and the frozen __setattr__.
+_set_modulus = TorsionCharacter.modulus.__set__
+_set_exponents = TorsionCharacter.exponents.__set__
+_set_character = JumpEntry.character.__set__
+_set_depth = JumpEntry.depth.__set__
+
+
 def _enumerate_characters(rank: int, max_order: int) -> Iterator[TorsionCharacter]:
+    """Every character of rank ``rank`` and order 2..max_order, each in
+    canonical form (exponents in range(m), gcd with m equal to 1), in
+    ascending (order, exponents) order."""
+    new, set_modulus, set_exponents = object.__new__, _set_modulus, _set_exponents
     for m in range(2, max_order + 1):
         for exps in itertools.product(range(m), repeat=rank):
             if exps and gcd(m, *exps) == 1:
-                yield TorsionCharacter._canonical(m, exps)
+                character = new(TorsionCharacter)
+                set_modulus(character, m)
+                set_exponents(character, exps)
+                yield character
 
 
 def scan_jumping_loci(presentation: GroupPresentation, max_order: int) -> JumpingLocusReport:
@@ -683,10 +701,14 @@ def scan_jumping_loci(presentation: GroupPresentation, max_order: int) -> Jumpin
     # hits its cache by identity even when the caller passed an equal twin.
     evaluator = _evaluator(presentation)
     entries = []
+    new, set_character, set_depth = object.__new__, _set_character, _set_depth
     for xi in _enumerate_characters(evaluator.rank, max_order):
         depth = twisted_h1(evaluator.presentation, xi)
         if depth >= 1:
-            entries.append(JumpEntry(xi, depth))
+            entry = new(JumpEntry)
+            set_character(entry, xi)
+            set_depth(entry, depth)
+            entries.append(entry)
     return JumpingLocusReport(max_order, evaluator.rank, tuple(entries))
 
 
@@ -706,16 +728,21 @@ class CoverB1Result:
 def hironaka_b1(report: JumpingLocusReport, alpha: AbelianEpimorphism) -> CoverB1Result:
     """First Betti number of the cover ker(alpha) from the jumping loci.
 
-    Each nontrivial entry whose character kills ker(alpha) - equivalently,
-    factors through alpha - contributes its depth:
+    Hironaka's formula sums over the dual group of S = Z/n_1 + ... + Z/n_k:
 
-        b_1(ker alpha) = b_1(G) + sum of factoring depths,
+        b_1(ker alpha) = b_1(G) + sum over chi in S^ - 1 of h^1(chi o alpha),
 
-    with b_1(G) = report.b1, which must be the source rank of alpha.
-    Factorization is tested exactly: the character must vanish on every
-    basis vector of the kernel lattice of alpha.  A character factoring
-    through alpha has order dividing the deck group's exponent, so a report
-    scanned below that exponent may miss one and is refused.
+    with b_1(G) = report.b1, which must be the source rank of alpha.  The
+    characters of S are the chi_c, c in S, with chi_c(s) = zeta_E **
+    sum_j c_j s_j E/n_j for E the exponent of S; chi_c o alpha sends the
+    i-th basis vector to zeta_E ** sum_j c_j A_ji E/n_j.  Each nontrivial c
+    is put in canonical form with one gcd and looked up by bisection in the
+    report's sorted entries; a character that is not there has h^1 = 0.
+    Since alpha is onto, distinct c give distinct characters, so every
+    entry that factors through alpha is found exactly once.  The
+    contributions come back in report order.  A character factoring
+    through alpha has order dividing E, so a report scanned below E may
+    miss one and is refused.
     """
     if report.b1 != alpha.source_rank:
         raise CharacterDomainError(
@@ -726,11 +753,27 @@ def hironaka_b1(report: JumpingLocusReport, alpha: AbelianEpimorphism) -> CoverB
             f"scan bound {report.scan_bound} is below the deck group exponent "
             f"{alpha.exponent}; rescan to order {alpha.exponent}"
         )
-    kernel = alpha.kernel_lattice_basis()
-    contributions = tuple(
-        entry for entry in report.entries
-        if all(entry.character.pairing(v) == 0 for v in kernel)
-    )
+    entries = report.entries
+    found = []
+    if entries:  # nothing to look up, as for a trivial-loci fixture
+        exponent = alpha.exponent
+        # per factor j, the exponent vector of chi_c o alpha for each c_j
+        tables = [
+            [[c * a * (exponent // n) for a in row] for c in range(n)]
+            for row, n in zip(alpha.matrix, alpha.factors)
+        ]
+        for vectors in itertools.product(*tables):
+            exps = [x % exponent for x in map(sum, zip(*vectors))]
+            g = gcd(exponent, *exps)
+            if g == exponent:
+                continue  # c = 0, the trivial character
+            key = (exponent // g, tuple(x // g for x in exps))
+            i = bisect_left(entries, key, key=_entry_key)
+            while i < len(entries) and _entry_key(entries[i]) == key:
+                found.append(i)
+                i += 1
+        found.sort()
+    contributions = tuple(entries[i] for i in found)
     return CoverB1Result(report.b1 + sum(e.depth for e in contributions), contributions)
 
 

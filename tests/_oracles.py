@@ -1,9 +1,11 @@
 """Reference arithmetic that the tests check the library against.
 
 Plain functions over the library's own value types, written for clarity
-rather than speed; nothing in the library calls them.
+rather than speed; nothing in the library calls them.  Also the random
+unimodular matrices that the cover tests build epimorphisms from.
 """
 
+import itertools
 from fractions import Fraction
 
 from slopekit.group_core import (
@@ -11,8 +13,9 @@ from slopekit.group_core import (
     LaurentPolynomial,
     abelianized_exponents,
     free_abelianization,
+    smith_normal_form,
 )
-from slopekit.jumping_loci import CyclotomicNumber
+from slopekit.jumping_loci import CoverB1Result, CyclotomicNumber
 
 
 def laurent_add(a, b):
@@ -119,3 +122,87 @@ def rational_det(rows):
                 f = work[i][col] * inv
                 work[i] = [x - f * y for x, y in zip(work[i], work[col])]
     return det
+
+
+def rank_mod_p(rows, p, bound):
+    """Rank over F_p of rows with entries in range(p), counted up to bound,
+    by elimination with the pivot's inverse; the rows are consumed."""
+    rank = 0
+    while rows and rank < bound:
+        prow = rows.pop()
+        if not any(prow):
+            continue
+        rank += 1
+        if rank == bound:
+            break
+        col = next(j for j, x in enumerate(prow) if x)
+        inverse = pow(prow[col], -1, p)
+        for i, row in enumerate(rows):
+            if row[col]:
+                f = row[col] * inverse % p
+                rows[i] = [(x - f * y) % p for x, y in zip(row, prow)]
+    return rank
+
+
+def kernel_lattice_basis(alpha):
+    """Generators of the full-rank sublattice ker(alpha) of Z^source_rank.
+
+    Solves A x = -N y over Z for N = diag(factors): the kernel of the block
+    matrix [A | N] projected to the x coordinates.
+    """
+    k, b = len(alpha.factors), alpha.source_rank
+    if k == 0:
+        return tuple(tuple(1 if i == j else 0 for j in range(b)) for i in range(b))
+    block = [
+        list(alpha.matrix[j]) + [alpha.factors[j] if i == j else 0 for i in range(k)]
+        for j in range(k)
+    ]
+    d, _, v = smith_normal_form(IntegerMatrix(block, rows=k, cols=b + k))
+    rank = sum(1 for x in d.diagonal() if x)
+    return tuple(tuple(v.entries[i][j] for i in range(b)) for j in range(rank, b + k))
+
+
+def kernel_lattice_hironaka_b1(report, alpha):
+    """Hironaka's formula over the report's entries: an entry contributes its
+    depth when its character vanishes on every kernel lattice generator.
+    Checks neither the report's rank nor its scan bound."""
+    kernel = kernel_lattice_basis(alpha)
+    contributions = tuple(
+        entry for entry in report.entries
+        if all(entry.character.pairing(v) == 0 for v in kernel)
+    )
+    return CoverB1Result(report.b1 + sum(e.depth for e in contributions), contributions)
+
+
+def coset_permutation(factors, shift):
+    """Translation by shift on the elements of Z/n_1 + ... + Z/n_k, as a table
+    of lexicographic ranks, element by element."""
+    elements = list(itertools.product(*(range(n) for n in factors)))
+
+    def index(element):
+        idx = 0
+        for c, n in zip(element, factors):
+            idx = idx * n + c % n
+        return idx
+
+    return [
+        index(tuple((c + s) % n for c, s, n in zip(element, shift, factors)))
+        for element in elements
+    ]
+
+
+def random_unimodular(rng, n, steps=8):
+    """A random n x n integer matrix of determinant +-1: the identity after
+    ``steps`` random row additions, swaps and sign changes."""
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        move = rng.randrange(3)
+        if move == 0:
+            c = rng.choice((-2, -1, 1, 2))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        elif move == 1:
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] = [-x for x in rows[i]]
+    return rows

@@ -21,7 +21,7 @@ from slopekit.group_core import (
     torus_group,
 )
 
-from _oracles import rational_det
+from _oracles import coset_permutation, kernel_lattice_basis, random_unimodular, rational_det
 
 
 def test_epimorphism_validation():
@@ -56,7 +56,7 @@ def test_kernel_lattice_index_equals_order():
         AbelianEpimorphism(2, (2, 4), ((1, 0), (0, 1))),
         AbelianEpimorphism(3, (6,), ((1, 2, 3),)),
     ):
-        basis = alpha.kernel_lattice_basis()
+        basis = kernel_lattice_basis(alpha)
         assert len(basis) == alpha.source_rank
         assert abs(rational_det([list(v) for v in basis])) == alpha.order
         for vector in basis:
@@ -73,6 +73,25 @@ def test_coset_action_examples():
     # genus-2, Z2 via (1,0,0,0): a swaps, b, c, d fix
     perms = coset_action(surface_group(2), AbelianEpimorphism.cyclic(2, (1, 0, 0, 0)))
     assert perms == [[1, 0], [0, 1], [0, 1], [0, 1]]
+
+
+def test_coset_action_matches_the_element_by_element_table():
+    # digit tables against translating each element and ranking it; the
+    # factor tuples include 1s, single factors and the empty tuple
+    rng = random.Random(2024)
+    cases = [(), (1,), (7,), (1, 1), (2, 1, 3), (1, 4, 1), (2, 2, 2, 2), (3, 5), (2, 4, 4, 4)]
+    cases += [tuple(rng.choice((1, 2, 3, 4, 6)) for _ in range(rng.randint(1, 4))) for _ in range(30)]
+    for factors in cases:
+        b = max(len(factors), rng.randint(1, 4))
+        presentation = free_group(b)
+        unimodular = random_unimodular(rng, b)
+        alpha = AbelianEpimorphism(b, factors, tuple(tuple(r) for r in unimodular[:len(factors)]))
+        perms = coset_action(presentation, alpha)
+        assert len(perms) == b
+        for i, perm in enumerate(perms):
+            shift = alpha.apply([1 if j == i else 0 for j in range(b)])
+            assert perm == coset_permutation(alpha.factors, shift)
+            assert sorted(perm) == list(range(alpha.order))
 
 
 def test_coset_action_rejects_rank_mismatch():

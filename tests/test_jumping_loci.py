@@ -1,5 +1,6 @@
 """Cyclotomic arithmetic, twisted h^1, scans, Hironaka, coprime covers."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -38,9 +39,16 @@ from slopekit.jumping_loci import (
     _enumerate_characters,
     _fp_root_powers,
     _is_prime,
+    _rank_mod_p,
 )
 
-from _oracles import evaluate_laurent, root_powers
+from _oracles import (
+    evaluate_laurent,
+    kernel_lattice_hironaka_b1,
+    random_unimodular,
+    rank_mod_p,
+    root_powers,
+)
 
 # ---------------------------------------------------------------------------
 # Cyclotomic field arithmetic
@@ -419,6 +427,49 @@ def test_twisted_h1_falls_back_when_p_divides_a_minor(monkeypatch):
     )
     assert twisted_h1(group, xi) == 0
     assert len(exact_calls) == 1
+
+
+@pytest.mark.parametrize("p", [7, 13, 31])
+def test_fraction_free_rank_mod_p_matches_the_inverse_oracle(p):
+    # small primes and rows that are combinations of a few others, so that
+    # entries cancel and ranks fall short; zero rows and every bound, also
+    # bounds below the rank
+    rng = random.Random(p)
+    for _ in range(400):
+        cols = rng.randint(1, 6)
+        base = [[rng.randrange(p) for _ in range(cols)] for _ in range(rng.randint(1, 4))]
+        rows = []
+        for _ in range(rng.randint(0, 6)):
+            kind = rng.randrange(4)
+            if kind == 0:
+                rows.append([0] * cols)
+            else:
+                coeffs = [rng.randrange(p) for _ in base]
+                rows.append([sum(c * b[j] for c, b in zip(coeffs, base)) % p for j in range(cols)])
+        full = rank_mod_p([r[:] for r in rows], p, cols + 1)
+        for bound in range(0, cols + 2):
+            expected = rank_mod_p([r[:] for r in rows], p, bound)
+            assert expected == min(full, bound)
+            assert _rank_mod_p([r[:] for r in rows], p, bound) == expected
+
+
+def test_scanned_characters_and_entries_are_constructor_built_values():
+    report = scan_jumping_loci(trefoil_group(), 12)
+    scanned = list(_enumerate_characters(2, 4)) + [e.character for e in report.entries]
+    for xi in scanned:
+        built = TorsionCharacter(xi.modulus, xi.exponents)
+        assert xi == built and hash(xi) == hash(built)
+        assert type(xi) is TorsionCharacter and type(xi.exponents) is tuple
+        for name in ("modulus", "exponents"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(xi, name, getattr(xi, name))
+    for entry in scan_jumping_loci(surface_group(2), 3).entries + report.entries:
+        built = JumpEntry(TorsionCharacter(entry.character.modulus, entry.character.exponents),
+                          entry.depth)
+        assert entry == built and hash(entry) == hash(built)
+        for name in ("character", "depth"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(entry, name, getattr(entry, name))
 
 
 def test_enumeration_is_canonical_and_ordered():
@@ -832,6 +883,63 @@ def test_cover_b1_is_exact_or_absent():
         assert result.b1 == exact
         if result.certificate is not None:
             assert result.b1 == report.b1
+
+    check()
+
+
+def test_hironaka_over_the_dual_group_matches_the_kernel_lattice_and_rewriting():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    deck_groups = st.sampled_from([
+        (), (1,), (2,), (3,), (4,), (5,), (6,), (8,),
+        (2, 2), (2, 2, 2), (2, 4), (4, 2), (1, 4), (2, 1, 2), (1, 2, 4),
+    ])
+
+    @st.composite
+    def cover_cases(draw):
+        rng = draw(st.randoms(use_true_random=False))
+        factors = draw(deck_groups)
+        if draw(st.integers(0, 9)) == 9:
+            # the trivial-loci fixture, of rank 2 and scan bound None
+            presentation, rank = None, 2
+        else:
+            gens = draw(st.integers(1, 3))
+            letters = st.integers(1, gens).flatmap(lambda i: st.sampled_from((i, -i)))
+            # no relator at all: a free group, where every character jumps
+            words = draw(st.lists(st.lists(letters, min_size=1, max_size=8), max_size=3))
+            relators = []
+            for word in words:
+                # balance the last generator, keeping a free part in H1
+                e = sum(1 if x > 0 else -1 for x in word if abs(x) == gens)
+                relators.append(tuple(word) + (-gens if e > 0 else gens,) * abs(e))
+            presentation = GroupPresentation(gens, tuple(relators))
+            rank = free_abelianization(presentation).rank
+        # a factor of 1 needs no row of its own; the others take independent
+        # rows of a random unimodular matrix, so alpha is onto
+        hypothesis.assume(sum(n > 1 for n in factors) <= rank)
+        unimodular = iter(random_unimodular(rng, rank, draw(st.integers(1, 10))))
+        matrix = tuple(
+            tuple(next(unimodular)) if n > 1 else tuple(rng.randrange(-3, 4) for _ in range(rank))
+            for n in factors
+        )
+        return presentation, AbelianEpimorphism(rank, factors, matrix), draw(st.integers(0, 2))
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True)
+    @hypothesis.given(cover_cases())
+    @hypothesis.example((surface_group(2), AbelianEpimorphism(4, (2, 4, 4, 4), (
+        (1, 2, 0, 3), (0, 1, 2, 0), (0, 0, 1, 2), (0, 0, 0, 1))), 0))
+    @hypothesis.example((None, AbelianEpimorphism(2, (2, 4), ((1, 1), (1, 2))), 0))
+    def check(case):
+        presentation, alpha, extra = case
+        if presentation is None:
+            report, exact = cartwright_steger_report(), 2
+        else:
+            report = scan_jumping_loci(presentation, alpha.exponent + extra)
+            exact = subgroup_b1(presentation, alpha)
+        result = hironaka_b1(report, alpha)
+        assert result == kernel_lattice_hironaka_b1(report, alpha)
+        assert result.b1 == exact
 
     check()
 
