@@ -35,6 +35,7 @@ from .group_core import (
     free_abelianization,
 )
 from .jumping_loci import (
+    JumpEntry,
     JumpingLocusReport,
     TorsionCharacter,
     evaluate_alexander_matrix,
@@ -220,20 +221,33 @@ def _json_text(obj) -> str:
 # entry's character is nontrivial, so a report with entries has b1 >= 1.
 _SCAN_JSON = '{\n  "b1": %d,\n  "entries": %s,\n  "exponent": %d,\n  "scan_bound": %s\n}\n'
 _SCAN_TEXT = "scan bound: %s\nb1: %d\nexponent: %d\nnontrivial entries: %d\n"
+# The `cover-b1` result in the bytes of `_json_text`, its contributions
+# rendered as scan entries.
+_COVER_JSON = (
+    '{\n  "agree": %s,\n  "contributions": %s,\n  "deck_exponent": %d,\n'
+    '  "hironaka_b1": %d,\n  "reidemeister_schreier_b1": %d,\n  "scan_bound": %d,\n'
+    '  "warning": null\n}\n'
+)
+
+
+def _entries_json(b1: int, entries: Sequence[JumpEntry]) -> str:
+    """A JSON list of rank-b1 entries, indented as a top-level key's value."""
+    if not entries:
+        return "[]"
+    entry = (
+        '    {\n      "depth": %d,\n      "exponents": [\n'
+        + ",\n".join(["        %d"] * b1)
+        + '\n      ],\n      "modulus": %d\n    }'
+    )
+    return "[\n%s\n  ]" % ",\n".join([
+        entry % (e.depth, *e.character.exponents, e.character.modulus) for e in entries
+    ])
 
 
 def _scan_json(report: JumpingLocusReport) -> str:
-    entry = (
-        '    {\n      "depth": %d,\n      "exponents": [\n'
-        + ",\n".join(["        %d"] * report.b1)
-        + '\n      ],\n      "modulus": %d\n    }'
-    )
-    entries = ",\n".join([
-        entry % (e.depth, *e.character.exponents, e.character.modulus) for e in report.entries
-    ])
     return _SCAN_JSON % (
         report.b1,
-        "[\n%s\n  ]" % entries if entries else "[]",
+        _entries_json(report.b1, report.entries),
         report.exponent,
         "null" if report.scan_bound is None else "%d" % report.scan_bound,
     )
@@ -371,17 +385,15 @@ def _cmd_cover_b1(args: argparse.Namespace) -> int:
     hironaka = hironaka_b1(report, alpha)
     schreier = subgroup_b1(presentation, alpha)
     agree = hironaka.b1 == schreier
-    result = {
-        "hironaka_b1": hironaka.b1,
-        "reidemeister_schreier_b1": schreier,
-        "agree": agree,
-        "scan_bound": alpha.exponent,
-        "deck_exponent": alpha.exponent,
-        "warning": None,
-        "contributions": [e.to_json_dict() for e in hironaka.contributions],
-    }
     if args.fmt == "json":
-        payload = _json_text(result)
+        payload = _COVER_JSON % (
+            "true" if agree else "false",
+            _entries_json(alpha.source_rank, hironaka.contributions),
+            alpha.exponent,
+            hironaka.b1,
+            schreier,
+            alpha.exponent,
+        )
     else:
         payload = (
             f"hironaka b1: {hironaka.b1}\n"

@@ -5,10 +5,14 @@ through the maximal free abelian quotient of G) determines a finite cover
 whose fundamental group is ker(alpha).  Because alpha is abelian, the coset
 action of G on S is by translations, so no general coset enumeration is
 needed: the Schreier transversal is found by breadth-first search over S and
-each relator is rewritten once per coset.  The resulting presentation, after
-discarding the spanning-tree generators, gives the cover's first Betti number
-through plain abelianization - an independent route against which the
-jumping-locus computation can be cross-checked.
+each relator is rewritten once per coset, through one flat table that numbers
+the edges of the coset graph.  The resulting presentation, after discarding
+the spanning-tree generators, gives the cover's first Betti number through
+plain abelianization - an independent route against which the jumping-locus
+computation can be cross-checked.  Its exponent matrix is sparse with mostly
+unit entries, so the abelianization eliminates unit pivots first, taking the
+shortest relator row and, in it, the unit whose generator occurs in the
+fewest rows; on surface-group covers nothing is left for the dense Smith form.
 """
 
 from __future__ import annotations
@@ -201,67 +205,83 @@ def reidemeister_schreier(
     at the identity, trying generators in declaration order; spanning-tree
     generators are eliminated eagerly, leaving d*g - (d-1) generators and
     d*r relators (one rewrite of each relator per coset).
+
+    Edge (c, i), generator i leaving coset c, is slot c*g + i - 1 of one
+    flat table holding its subgroup generator number, or 0 on the spanning
+    tree; the numbers follow the slots.  Each relator lift is freely reduced
+    on a stack as its letters are written.
     """
     perms = coset_action(presentation, alpha)
     g = presentation.generator_count
     d = alpha.order
     inverse_perms = [[0] * d for _ in range(g)]
-    for i, perm in enumerate(perms):
+    for inverse, perm in zip(inverse_perms, perms):
         for src, dst in enumerate(perm):
-            inverse_perms[i][dst] = src
+            inverse[dst] = src
 
     # BFS spanning tree; transversal[c] is a positive word reaching coset c.
-    transversal: dict[int, tuple[int, ...]] = {0: ()}
-    tree: set[tuple[int, int]] = set()
+    transversal: list[tuple[int, ...] | None] = [None] * d
+    transversal[0] = ()
+    edges = [1] * (d * g)
+    reached = 1
     queue = deque([0])
     while queue:
         c = queue.popleft()
-        for i in range(1, g + 1):
-            nxt = perms[i - 1][c]
-            if nxt not in transversal:
-                transversal[nxt] = transversal[c] + (i,)
-                tree.add((c, i))
+        word = transversal[c]
+        for i, perm in enumerate(perms):
+            nxt = perm[c]
+            if transversal[nxt] is None:
+                transversal[nxt] = word + (i + 1,)
+                edges[c * g + i] = 0
+                reached += 1
                 queue.append(nxt)
-    if len(transversal) != d:
+    if reached != d:
         raise NotAnEpimorphismError(
-            f"coset action is not transitive: reached {len(transversal)} of {d} cosets"
+            f"coset action is not transitive: reached {reached} of {d} cosets"
         )
 
-    # Non-tree edges become the subgroup generators, indexed by (coset, gen).
-    new_index: dict[tuple[int, int], int] = {}
-    for c in range(d):
-        for i in range(1, g + 1):
-            if (c, i) not in tree:
-                new_index[(c, i)] = len(new_index) + 1
+    # Non-tree edges become the subgroup generators, numbered slot by slot.
+    generators = 0
+    for slot, edge in enumerate(edges):
+        if edge:
+            generators += 1
+            edges[slot] = generators
+
+    # Each letter as (its permutation of the cosets, the signed generator it
+    # reads at each coset): generator i + 1 reads column i of the table, the
+    # edge leaving the coset; its inverse reads the edge by which generator
+    # i + 1 enters the coset, negated.
+    steps = {}
+    for i, (perm, inverse) in enumerate(zip(perms, inverse_perms)):
+        labels = edges[i::g]
+        steps[i + 1] = (perm, labels)
+        steps[-i - 1] = (inverse, [-labels[src] for src in inverse])
+    walks = [[steps[letter] for letter in rel] for rel in presentation.relators]
 
     sub_relators: list[Word] = []
     for c in range(d):
-        for rel in presentation.relators:
-            letters: list[int] = []
+        for walk in walks:
+            stack: list[int] = []
             cur = c
-            for letter in rel:
-                i = abs(letter)
-                if letter > 0:
-                    edge = (cur, i)
-                    cur = perms[i - 1][cur]
-                    if edge not in tree:
-                        letters.append(new_index[edge])
-                else:
-                    cur = inverse_perms[i - 1][cur]
-                    edge = (cur, i)
-                    if edge not in tree:
-                        letters.append(-new_index[edge])
+            for perm, labels in walk:
+                gen = labels[cur]
+                cur = perm[cur]
+                if gen:
+                    if stack and stack[-1] == -gen:
+                        stack.pop()
+                    else:
+                        stack.append(gen)
             if cur != c:
                 raise SlopekitError("relator does not stabilize its coset; action is inconsistent")
-            sub_relators.append(Word(tuple(letters)))
+            sub_relators.append(Word._from_reduced(tuple(stack)))
 
-    sub = GroupPresentation(len(new_index), tuple(sub_relators))
+    sub = GroupPresentation(generators, tuple(sub_relators))
     return SubgroupPresentation(
         presentation=sub,
         ambient=presentation,
         index=d,
         # Positive words have no cancelling pair, so they are already reduced.
-        transversal=tuple(Word._from_reduced(transversal[c]) for c in range(d)),
+        transversal=tuple(Word._from_reduced(w) for w in transversal),
     )
 
 

@@ -347,39 +347,46 @@ def abelianization(presentation: GroupPresentation) -> AbelianGroupStructure:
 
     Unit pivots are eliminated first on a sparse copy, one row per relator:
     each is a Tietze move on the abelianized relators, adding one invariant
-    factor 1.  They come off a heap keyed by fill cost (other nonzeros in the
-    pivot's row times those in its column), re-keyed lazily when it grew.
-    The dense Smith form runs only on the remainder, for surface-group
-    covers an empty one.
+    factor 1.  Rows come off a heap keyed by their length, shortest first;
+    a row pivots on its unit entry whose column meets the fewest rows, and
+    every row the elimination changes goes back on the heap, the entries it
+    leaves behind being skipped as stale.  The dense Smith form runs only on
+    the remainder, for surface-group covers an empty one.
     """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
+    rows: list[dict[int, int] | None] = []
+    cols: list[set[int]] = [set() for _ in range(presentation.generator_count + 1)]
     for i, word in enumerate(presentation.relators):
         row: dict[int, int] = {}
         for letter in word:
-            row[abs(letter)] = row.get(abs(letter), 0) + (1 if letter > 0 else -1)
-        rows[i] = row = {j: x for j, x in row.items() if x}
+            if letter > 0:
+                row[letter] = row.get(letter, 0) + 1
+            else:
+                row[-letter] = row.get(-letter, 0) - 1
+        row = {j: x for j, x in row.items() if x}
+        rows.append(row)
         for j in row:
-            cols.setdefault(j, set()).add(i)
+            cols[j].add(i)
 
-    def fill(i: int, j: int) -> int:
-        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
-
-    heap = [(fill(i, j), i, j) for i, row in rows.items() for j, x in row.items() if abs(x) == 1]
+    heap = [(len(row), i) for i, row in enumerate(rows) if row]
     heapq.heapify(heap)
     units = 0
     while heap:
-        cost, i, j = heapq.heappop(heap)
-        if i not in rows or abs(rows[i].get(j, 0)) != 1:
+        length, i = heapq.heappop(heap)
+        pivot_row = rows[i]
+        if pivot_row is None or len(pivot_row) != length:
             continue
-        if fill(i, j) > cost:
-            heapq.heappush(heap, (fill(i, j), i, j))
+        j, fewest = 0, 0
+        for l, x in pivot_row.items():
+            if (x == 1 or x == -1) and (not j or len(cols[l]) < fewest):
+                j, fewest = l, len(cols[l])
+        if not j:
             continue
-        pivot_row = rows.pop(i)
+        rows[i] = None
         for l in pivot_row:
             cols[l].discard(i)
         # Clear column j with row moves; row i and column j then drop out.
-        for k in cols.pop(j):
+        hits, cols[j] = cols[j], set()
+        for k in hits:
             row = rows[k]
             q = row.pop(j) * pivot_row[j]
             for l, x in pivot_row.items():
@@ -393,12 +400,12 @@ def abelianization(presentation: GroupPresentation) -> AbelianGroupStructure:
                 if l not in row:
                     cols[l].add(k)
                 row[l] = y
-                if abs(y) == 1:
-                    heapq.heappush(heap, (fill(k, l), k, l))
+            if row:
+                heapq.heappush(heap, (len(row), k))
         units += 1
 
-    live = sorted({j for row in rows.values() for j in row})
-    dense = [[row.get(j, 0) for j in live] for row in rows.values() if row]
+    live = sorted({j for row in rows if row for j in row})
+    dense = [[row.get(j, 0) for j in live] for row in rows if row]
     diag = smith_normal_form(IntegerMatrix(dense, rows=len(dense), cols=len(live)))[0].diagonal()
     rank = units + sum(1 for x in diag if x)
     torsion = tuple(x for x in diag if x > 1)

@@ -217,12 +217,6 @@ class TorsionCharacter:
     def order(self) -> int:
         return self.modulus
 
-    def pairing(self, vector: Sequence[int]) -> int:
-        """Exponent (mod modulus) of the character value on a lattice vector."""
-        if len(vector) != len(self.exponents):
-            raise CharacterDomainError("vector length does not match character rank")
-        return sum(e * v for e, v in zip(self.exponents, vector)) % self.modulus
-
     def to_json_dict(self) -> dict:
         return {"modulus": self.modulus, "exponents": list(self.exponents)}
 
@@ -580,7 +574,7 @@ class JumpingLocusReport:
     that produced the report, an int >= 1, and no entry may exceed it; None
     marks a report asserted complete on other grounds (fixtures), which is
     never produced by a scan.  ``exponent`` is derived: the lcm of the entry
-    orders.
+    orders.  No character may be listed twice.
     """
 
     scan_bound: int | None
@@ -613,7 +607,9 @@ class JumpingLocusReport:
                 ascending = ascending and order > last_order
                 exponent = lcm(exponent, order)
                 last_order = order
-            elif exponents < last_exponents:
+            elif exponents <= last_exponents:
+                if exponents == last_exponents:
+                    raise SlopekitError(f"order {order} exponents {exponents} listed twice")
                 ascending = False
             last_exponents = exponents
             if order == 1:
@@ -629,6 +625,10 @@ class JumpingLocusReport:
                 )
         if not ascending:
             entries = tuple(sorted(entries, key=_entry_key))
+            for before, after in zip(entries, entries[1:]):
+                if _entry_key(before) == _entry_key(after):
+                    order, exponents = _entry_key(after)
+                    raise SlopekitError(f"order {order} exponents {exponents} listed twice")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "exponent", exponent)
 
@@ -642,6 +642,8 @@ class JumpingLocusReport:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "JumpingLocusReport":
+        """The report of ``to_json_dict``; its stated exponent must be the
+        derived one, and its entries closed under the Galois action."""
         report = cls(
             data["scan_bound"],
             data["b1"],
@@ -651,6 +653,24 @@ class JumpingLocusReport:
             raise SlopekitError(
                 f"stated exponent {data['exponent']} != lcm of entry orders {report.exponent}"
             )
+        # h^1 is constant on Galois orbits, and Hironaka's formula reads every
+        # member of one; a scan lists them all, a report from elsewhere must
+        # too.  The first member of an orbit checks the whole orbit.
+        depths = {_entry_key(e): e.depth for e in report.entries}
+        checked = set()
+        for key, depth in depths.items():
+            if key in checked:
+                continue
+            m, exponents = key
+            for u in range(2, m):
+                if gcd(u, m) == 1:
+                    conjugate = (m, tuple(u * x % m for x in exponents))
+                    if depths.get(conjugate) != depth:
+                        raise SlopekitError(
+                            f"order {m} exponents {exponents} of depth {depth} needs its "
+                            f"Galois conjugate {conjugate[1]} at the same depth"
+                        )
+                    checked.add(conjugate)
         return report
 
 

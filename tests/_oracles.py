@@ -2,20 +2,28 @@
 
 Plain functions over the library's own value types, written for clarity
 rather than speed; nothing in the library calls them.  Also the random
-unimodular matrices that the cover tests build epimorphisms from.
+unimodular matrices that the cover tests build epimorphisms from, and
+Reidemeister-Schreier rewriting with (coset, generator) edge keys and a
+re-reduction of each rewritten relator.
 """
 
 import itertools
+from collections import deque
 from fractions import Fraction
 
+from slopekit.covers import SubgroupPresentation, coset_action
+from slopekit.errors import SlopekitError
 from slopekit.group_core import (
+    AbelianGroupStructure,
+    GroupPresentation,
     IntegerMatrix,
     LaurentPolynomial,
+    Word,
     abelianized_exponents,
     free_abelianization,
     smith_normal_form,
 )
-from slopekit.jumping_loci import CoverB1Result, CyclotomicNumber
+from slopekit.jumping_loci import CharacterDomainError, CoverB1Result, CyclotomicNumber
 
 
 def laurent_add(a, b):
@@ -59,13 +67,20 @@ def root_powers(modulus, powers):
     return CyclotomicNumber(modulus, vec)
 
 
+def pairing(character, vector):
+    """Exponent (mod its modulus) of the character's value on a lattice vector."""
+    if len(vector) != len(character.exponents):
+        raise CharacterDomainError("vector length does not match character rank")
+    return sum(e * v for e, v in zip(character.exponents, vector)) % character.modulus
+
+
 def evaluate_laurent(poly, character):
     """Specialize a Laurent polynomial at the character's root of unity."""
     if poly.variables != len(character.exponents):
         raise ValueError("polynomial variables do not match character rank")
     powers = {}
     for exps, coeff in poly.terms.items():
-        p = character.pairing(exps)
+        p = pairing(character, exps)
         powers[p] = powers.get(p, 0) + coeff
     return root_powers(character.modulus, powers)
 
@@ -79,6 +94,14 @@ def matmul(a, b):
         for i in range(a.rows)
     ]
     return IntegerMatrix(product, rows=a.rows, cols=b.cols)
+
+
+def dense_abelianization(presentation):
+    """H1 from the dense Smith form of the whole exponent matrix."""
+    diag = smith_normal_form(presentation.exponent_matrix())[0].diagonal()
+    rank = sum(1 for x in diag if x)
+    return AbelianGroupStructure(
+        presentation.generator_count - rank, tuple(x for x in diag if x > 1))
 
 
 def rational_rank(rows):
@@ -169,7 +192,7 @@ def kernel_lattice_hironaka_b1(report, alpha):
     kernel = kernel_lattice_basis(alpha)
     contributions = tuple(
         entry for entry in report.entries
-        if all(entry.character.pairing(v) == 0 for v in kernel)
+        if all(pairing(entry.character, v) == 0 for v in kernel)
     )
     return CoverB1Result(report.b1 + sum(e.depth for e in contributions), contributions)
 
@@ -206,3 +229,65 @@ def random_unimodular(rng, n, steps=8):
         else:
             rows[i] = [-x for x in rows[i]]
     return rows
+
+
+def reference_reidemeister_schreier(presentation, alpha):
+    """Presentation of ker(alpha) by Schreier rewriting, edge by edge: a BFS
+    spanning tree over the cosets as a set of (coset, generator) pairs, the
+    other edges numbered in (coset, generator) order, and each relator lift
+    reduced by ``Word``."""
+    perms = coset_action(presentation, alpha)
+    g = presentation.generator_count
+    d = alpha.order
+    inverse_perms = [[0] * d for _ in range(g)]
+    for i, perm in enumerate(perms):
+        for src, dst in enumerate(perm):
+            inverse_perms[i][dst] = src
+
+    transversal = {0: ()}
+    tree = set()
+    queue = deque([0])
+    while queue:
+        c = queue.popleft()
+        for i in range(1, g + 1):
+            nxt = perms[i - 1][c]
+            if nxt not in transversal:
+                transversal[nxt] = transversal[c] + (i,)
+                tree.add((c, i))
+                queue.append(nxt)
+    if len(transversal) != d:
+        raise SlopekitError(f"coset action reached {len(transversal)} of {d} cosets")
+
+    new_index = {}
+    for c in range(d):
+        for i in range(1, g + 1):
+            if (c, i) not in tree:
+                new_index[(c, i)] = len(new_index) + 1
+
+    sub_relators = []
+    for c in range(d):
+        for rel in presentation.relators:
+            letters = []
+            cur = c
+            for letter in rel:
+                i = abs(letter)
+                if letter > 0:
+                    edge = (cur, i)
+                    cur = perms[i - 1][cur]
+                    if edge not in tree:
+                        letters.append(new_index[edge])
+                else:
+                    cur = inverse_perms[i - 1][cur]
+                    edge = (cur, i)
+                    if edge not in tree:
+                        letters.append(-new_index[edge])
+            if cur != c:
+                raise SlopekitError("relator does not stabilize its coset")
+            sub_relators.append(Word(tuple(letters)))
+
+    return SubgroupPresentation(
+        presentation=GroupPresentation(len(new_index), tuple(sub_relators)),
+        ambient=presentation,
+        index=d,
+        transversal=tuple(Word(transversal[c]) for c in range(d)),
+    )

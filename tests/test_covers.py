@@ -1,5 +1,6 @@
 """Coset actions, Reidemeister-Schreier rewriting, and cover Betti numbers."""
 
+import itertools
 import random
 
 import pytest
@@ -13,15 +14,31 @@ from slopekit.covers import (
 )
 from slopekit import group_core
 from slopekit.group_core import (
+    GroupPresentation,
     Word,
     abelianization,
+    free_abelianization,
     free_group,
     smith_normal_form,
     surface_group,
     torus_group,
 )
+from slopekit.jumping_loci import (
+    JumpEntry,
+    JumpingLocusReport,
+    TorsionCharacter,
+    hironaka_b1,
+    twisted_h1,
+)
 
-from _oracles import coset_permutation, kernel_lattice_basis, random_unimodular, rational_det
+from _oracles import (
+    coset_permutation,
+    dense_abelianization,
+    kernel_lattice_basis,
+    random_unimodular,
+    rational_det,
+    reference_reidemeister_schreier,
+)
 
 
 def test_epimorphism_validation():
@@ -209,3 +226,96 @@ def test_large_index_matches_closed_form(alpha, b1, monkeypatch):
     assert b1 == 2 * (alpha.order + 1)
     assert subgroup_b1(surface_group(2), alpha) == b1
     assert shapes[-1] == (0, 0)
+
+
+def dual_group_report(presentation, alpha):
+    """The report of the characters that factor through alpha, one twisted_h1
+    each: the only entries Hironaka's formula for alpha looks up."""
+    exponent = alpha.exponent
+    entries = {}
+    for c in itertools.product(*(range(n) for n in alpha.factors)):
+        exps = [
+            sum(cj * row[i] * (exponent // n) for cj, row, n in zip(c, alpha.matrix, alpha.factors))
+            for i in range(alpha.source_rank)
+        ]
+        xi = TorsionCharacter(exponent, tuple(exps))
+        depth = twisted_h1(presentation, xi) if xi.modulus > 1 else 0
+        if depth:
+            entries[xi] = JumpEntry(xi, depth)
+    return JumpingLocusReport(None, alpha.source_rank, tuple(entries.values()))
+
+
+# H1 = Z^2 + Z/2
+TORSION = GroupPresentation(3, ((1, 1, 2, 3, -2, -3),))
+
+
+def test_flat_rewriting_matches_the_reference_and_both_b1_routes():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def letters(rank, length):
+        return st.lists(
+            st.integers(1, rank).flatmap(lambda i: st.sampled_from((i, -i))),
+            min_size=length, max_size=length)
+
+    @st.composite
+    def commutator(draw, rank):
+        u, v = draw(letters(rank, draw(st.integers(1, 3)))), draw(letters(rank, draw(st.integers(1, 3))))
+        return u + v + [-x for x in reversed(u)] + [-x for x in reversed(v)]
+
+    @st.composite
+    def groups(draw):
+        kind = draw(st.sampled_from(("one", "three", "torsion", "surface")))
+        if kind == "torsion":
+            return TORSION
+        if kind == "surface":
+            return surface_group(draw(st.integers(1, 2)))
+        rank = draw(st.integers(2, 4))
+        # a commutator keeps the free rank, so that a deck group of rank > 1 fits
+        relators = [
+            draw(commutator(rank) if draw(st.sampled_from((True, True, False)))
+                 else letters(rank, draw(st.integers(1, 8))))
+            for _ in range(1 if kind == "one" else 3)
+        ]
+        hypothesis.assume(all(Word(tuple(r)).letters for r in relators))
+        return GroupPresentation(rank, tuple(tuple(r) for r in relators))
+
+    @st.composite
+    def covers(draw):
+        presentation = draw(groups())
+        b = free_abelianization(presentation).rank
+        hypothesis.assume(b >= 1)
+        if draw(st.booleans()):
+            factors = (draw(st.integers(2, 64)),)
+        else:
+            twos = draw(st.integers(0, min(b, 6)))
+            fours = draw(st.integers(0, min(b - twos, (6 - twos) // 2)))
+            hypothesis.assume(twos + fours)
+            factors = (2,) * twos + (4,) * fours
+        unimodular = random_unimodular(random.Random(draw(st.integers(0, 2**32))), b)
+        if unimodular == [[int(i == j) for j in range(b)] for i in range(b)]:
+            unimodular[0] = [-x for x in unimodular[0]]
+        return presentation, AbelianEpimorphism(b, factors, tuple(map(tuple, unimodular[:len(factors)])))
+
+    seen = set()
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(covers())
+    @hypothesis.example((TORSION, AbelianEpimorphism.cyclic(4, (1, 2))))
+    @hypothesis.example((surface_group(2), AbelianEpimorphism(
+        4, (4, 4, 4), ((1, 2, 0, 3), (0, 1, 2, 0), (0, 0, 1, 2)))))
+    def check(case):
+        presentation, alpha = case
+        sub = reidemeister_schreier(presentation, alpha)
+        reference = reference_reidemeister_schreier(presentation, alpha)
+        assert sub == reference
+        assert [w.letters for w in sub.presentation.relators] == [
+            w.letters for w in reference.presentation.relators]
+        b1 = subgroup_b1(presentation, alpha)
+        assert b1 == dense_abelianization(sub.presentation).free_rank
+        assert b1 == hironaka_b1(dual_group_report(presentation, alpha), alpha).b1
+        seen.add((presentation.relator_count, len(alpha.factors) > 1, alpha.order > 16))
+
+    check()
+    # one- and three-relator groups, cyclic and (Z/2)^a x (Z/4)^c deck groups
+    assert {(1, False), (1, True), (3, False), (3, True)} <= {key[:2] for key in seen}

@@ -28,6 +28,7 @@ from slopekit.group_core import (
 )
 
 from _oracles import (
+    dense_abelianization,
     laurent_add,
     laurent_mul,
     matmul,
@@ -186,14 +187,6 @@ def presentation_with_exponents(rows, generator_count):
         tuple(letter for j, x in enumerate(row) for letter in [(j + 1) * (1 if x > 0 else -1)] * abs(x))
         for row in rows
     ))
-
-
-def dense_abelianization(presentation):
-    """H1 from the dense Smith form of the whole exponent matrix."""
-    diag = smith_normal_form(presentation.exponent_matrix())[0].diagonal()
-    rank = sum(1 for x in diag if x)
-    return AbelianGroupStructure(
-        presentation.generator_count - rank, tuple(x for x in diag if x > 1))
 
 
 def test_unit_elimination_matches_dense_smith_form(monkeypatch):

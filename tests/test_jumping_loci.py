@@ -45,6 +45,7 @@ from slopekit.jumping_loci import (
 from _oracles import (
     evaluate_laurent,
     kernel_lattice_hironaka_b1,
+    pairing,
     random_unimodular,
     rank_mod_p,
     root_powers,
@@ -177,8 +178,8 @@ def test_character_order_and_conjugate():
     # the conjugate's exponents are the negatives, canonicalized mod the order
     assert TorsionCharacter(6, (-1,)) == TorsionCharacter(6, (5,))
     assert TorsionCharacter(6, (-5,)) == xi
-    assert xi.pairing((2,)) == 2
-    assert TorsionCharacter(2, (1, 0)).pairing((3, 5)) == 1
+    assert pairing(xi, (2,)) == 2
+    assert pairing(TorsionCharacter(2, (1, 0)), (3, 5)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +681,7 @@ def test_evaluator_h1_matches_the_exact_rank_for_every_class_of_generator_image(
         g, rank = presentation.generator_count, len(images[0])
         assert evaluator.h1(TorsionCharacter(1, (0,) * rank)) == rank
         for xi in _enumerate_characters(rank, 6):
-            assert list(evaluator.shifts(xi)) == [xi.pairing(image) for image in images]
+            assert list(evaluator.shifts(xi)) == [pairing(xi, image) for image in images]
             exact = g - 1 - cyclotomic_rank(evaluate_alexander_matrix(presentation, xi))
             assert evaluator.h1(xi) == exact
     # the rank check runs before the lookup, which alone would read the first
@@ -722,6 +723,48 @@ def test_report_validation():
     data["exponent"] = 4
     with pytest.raises(SlopekitError, match="stated exponent 4 != lcm of entry orders 2"):
         JumpingLocusReport.from_json_dict(data)
+
+
+def test_report_refuses_a_character_listed_twice():
+    entry = JumpEntry(TorsionCharacter(2, (1, 0)), 1)
+    other = JumpEntry(TorsionCharacter(3, (1, 0)), 1)
+    # adjacent in ascending order, and apart in an order the report sorts
+    for entries in ((entry, entry), (entry, other, entry), (other, entry, JumpEntry(entry.character, 2))):
+        with pytest.raises(SlopekitError, match=r"order 2 exponents \(1, 0\) listed twice"):
+            JumpingLocusReport(None, 2, entries)
+    data = JumpingLocusReport(None, 2, (entry,)).to_json_dict()
+    data["entries"] *= 2
+    with pytest.raises(SlopekitError, match="listed twice"):
+        JumpingLocusReport.from_json_dict(data)
+    # once, the character is counted once: b1 3 for the Z/2 cover, not 4
+    report = JumpingLocusReport(None, 2, (entry,))
+    assert hironaka_b1(report, AbelianEpimorphism.cyclic(2, (1, 0))).b1 == 3
+
+
+def test_report_from_json_needs_every_galois_conjugate():
+    def data(*entries):
+        return JumpingLocusReport(None, 2, tuple(
+            JumpEntry(TorsionCharacter(m, exps), depth) for m, exps, depth in entries
+        )).to_json_dict()
+
+    alpha = AbelianEpimorphism.cyclic(3, (1, 0))
+    # (3; 1, 0) without (3; 2, 0) would read b1 3; the Z/3 cover has 4
+    with pytest.raises(SlopekitError, match=r"needs its Galois conjugate \(2, 0\)"):
+        JumpingLocusReport.from_json_dict(data((3, (1, 0), 1)))
+    with pytest.raises(SlopekitError, match="at the same depth"):
+        JumpingLocusReport.from_json_dict(data((3, (1, 0), 1), (3, (2, 0), 2)))
+    closed = JumpingLocusReport.from_json_dict(data((3, (1, 0), 1), (3, (2, 0), 1)))
+    assert hironaka_b1(closed, alpha).b1 == 4
+    # (5; 1, 2) has the orbit (5; 2, 4), (5; 3, 1), (5; 4, 3); order 2 has no other member
+    orbit = [(5, (1, 2), 1), (5, (2, 4), 1), (5, (3, 1), 1), (5, (4, 3), 1), (2, (0, 1), 3)]
+    assert len(JumpingLocusReport.from_json_dict(data(*orbit)).entries) == 5
+    with pytest.raises(SlopekitError, match=r"order 5 exponents \(1, 2\)"):
+        JumpingLocusReport.from_json_dict(data(*orbit[:1], *orbit[2:]))
+    # every scan is closed, and the constructor alone does not check
+    for presentation, bound in ((surface_group(2), 5), (trefoil_group(), 12)):
+        report = scan_jumping_loci(presentation, bound)
+        assert JumpingLocusReport.from_json_dict(report.to_json_dict()) == report
+    assert JumpingLocusReport(None, 2, (JumpEntry(TorsionCharacter(3, (1, 0)), 1),)).b1 == 2
 
 
 def test_report_checks_its_scan_bound():

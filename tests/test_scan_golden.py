@@ -99,7 +99,7 @@ def test_scan_renderers_match_their_oracles():
     @st.composite
     def reports(draw):
         rank = draw(st.integers(0, 5))
-        entries = []
+        entries = {}
         # rank 0 has only the trivial character, which a report never lists
         for _ in range(draw(st.integers(0, 50)) if rank else 0):
             modulus = draw(st.integers(2, 10**6))
@@ -107,7 +107,9 @@ def test_scan_renderers_match_their_oracles():
             if not any(exponents):
                 exponents[draw(st.integers(0, rank - 1))] = draw(st.integers(1, modulus - 1))
             character = TorsionCharacter(modulus, tuple(exponents))
-            entries.append(JumpEntry(character, draw(st.integers(1, 10**4))))
+            # a report lists each character once
+            entries[character] = JumpEntry(character, draw(st.integers(1, 10**4)))
+        entries = list(entries.values())
         # a report refuses an entry above its scan bound
         highest = max((e.character.order for e in entries), default=1)
         scan_bound = draw(st.none() | st.integers(highest, 10**6))
