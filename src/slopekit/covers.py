@@ -4,10 +4,10 @@ An epimorphism alpha from a group G onto a finite abelian group S (factoring
 through the maximal free abelian quotient of G) determines a finite cover
 whose fundamental group is ker(alpha).  Because alpha is abelian, the coset
 action of G on S is by translations, so no general coset enumeration is
-needed: the Schreier transversal is found by breadth-first search over S and
-each relator is rewritten once per coset, through one flat table that numbers
-the edges of the coset graph.  The resulting presentation, after discarding
-the spanning-tree generators, gives the cover's first Betti number through
+needed: a spanning tree of the coset graph is found by breadth-first search
+over S, and each relator is rewritten once per coset, through one flat table
+that numbers the edges of the coset graph.  The resulting presentation,
+after discarding the spanning-tree generators, gives the cover's first Betti number through
 plain abelianization - an independent route against which the jumping-locus
 computation can be cross-checked.  Its exponent matrix is sparse with mostly
 unit entries, so the abelianization eliminates unit pivots first, taking the
@@ -174,7 +174,7 @@ def coset_action(
 
 @dataclass(frozen=True)
 class SubgroupPresentation:
-    """Presentation of ker(alpha) with its Schreier bookkeeping.
+    """Presentation of ker(alpha) as a subgroup of index ``index``.
 
     The Euler characteristic relation 1 - g' + r' = index * (1 - g + r)
     against the ambient presentation is checked at construction.
@@ -183,7 +183,6 @@ class SubgroupPresentation:
     presentation: GroupPresentation
     ambient: GroupPresentation
     index: int
-    transversal: tuple[Word, ...]
 
     def __post_init__(self) -> None:
         g, r = self.ambient.generator_count, self.ambient.relator_count
@@ -192,8 +191,6 @@ class SubgroupPresentation:
             raise SlopekitError(
                 f"Euler characteristic violated: 1-{gp}+{rp} != {self.index}*(1-{g}+{r})"
             )
-        if len(self.transversal) != self.index:
-            raise SlopekitError("transversal size must equal the index")
 
 
 def reidemeister_schreier(
@@ -201,10 +198,11 @@ def reidemeister_schreier(
 ) -> SubgroupPresentation:
     """Presentation of ker(alpha) by Schreier rewriting.
 
-    The transversal comes from breadth-first search over the cosets starting
-    at the identity, trying generators in declaration order; spanning-tree
-    generators are eliminated eagerly, leaving d*g - (d-1) generators and
-    d*r relators (one rewrite of each relator per coset).
+    The spanning tree comes from breadth-first search over the cosets
+    starting at the identity, trying generators in declaration order; only
+    which edges it uses is kept.  Spanning-tree generators are eliminated
+    eagerly, leaving d*g - (d-1) generators and d*r relators (one rewrite
+    of each relator per coset).
 
     Edge (c, i), generator i leaving coset c, is slot c*g + i - 1 of one
     flat table holding its subgroup generator number, or 0 on the spanning
@@ -219,19 +217,18 @@ def reidemeister_schreier(
         for src, dst in enumerate(perm):
             inverse[dst] = src
 
-    # BFS spanning tree; transversal[c] is a positive word reaching coset c.
-    transversal: list[tuple[int, ...] | None] = [None] * d
-    transversal[0] = ()
+    # BFS spanning tree: a tree edge is marked 0 in the table.
+    seen = bytearray(d)
+    seen[0] = 1
     edges = [1] * (d * g)
     reached = 1
     queue = deque([0])
     while queue:
         c = queue.popleft()
-        word = transversal[c]
         for i, perm in enumerate(perms):
             nxt = perm[c]
-            if transversal[nxt] is None:
-                transversal[nxt] = word + (i + 1,)
+            if not seen[nxt]:
+                seen[nxt] = 1
                 edges[c * g + i] = 0
                 reached += 1
                 queue.append(nxt)
@@ -276,13 +273,7 @@ def reidemeister_schreier(
             sub_relators.append(Word._from_reduced(tuple(stack)))
 
     sub = GroupPresentation(generators, tuple(sub_relators))
-    return SubgroupPresentation(
-        presentation=sub,
-        ambient=presentation,
-        index=d,
-        # Positive words have no cancelling pair, so they are already reduced.
-        transversal=tuple(Word._from_reduced(w) for w in transversal),
-    )
+    return SubgroupPresentation(presentation=sub, ambient=presentation, index=d)
 
 
 def subgroup_b1(presentation: GroupPresentation, alpha: AbelianEpimorphism) -> int:

@@ -5,7 +5,7 @@ generator indices (``+i`` for the i-th generator, ``-i`` for its inverse,
 indices starting at 1) and are kept freely reduced from the moment they are
 built.  Abelianization is computed from the Smith normal form of the
 generator/relator exponent matrix, over exact integers, after eliminating
-its unit entries sparsely; the Smith normal form with transforms
+its unit entries sparsely; the row transform of the Smith normal form
 supplies the map onto the maximal free abelian quotient Z^b that underlies
 both the symbolic Alexander matrix (Fox derivatives with letters sent to
 monomials t_1..t_b) and the character evaluations performed elsewhere.
@@ -89,9 +89,6 @@ class Word:
     def __iter__(self) -> Iterator[int]:
         return iter(self.letters)
 
-    def max_index(self) -> int:
-        return max((abs(l) for l in self.letters), default=0)
-
 
 def abelianized_exponents(word: Word | Iterable[int], generator_count: int) -> tuple[int, ...]:
     """Total signed exponent of each generator: the image under G -> H1.
@@ -126,7 +123,7 @@ class GroupPresentation:
             raise MalformedWordError("generator count must be nonnegative")
         words = tuple(r if isinstance(r, Word) else Word(tuple(r)) for r in self.relators)
         for w in words:
-            if w.max_index() > self.generator_count:
+            if max(map(abs, w.letters), default=0) > self.generator_count:
                 raise MalformedWordError(
                     f"relator {w.letters} exceeds generator range 1..{self.generator_count}"
                 )
@@ -198,14 +195,6 @@ class IntegerMatrix:
             raise ValueError("inconsistent matrix dimensions")
         self.entries = data
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, IntegerMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
     def __repr__(self) -> str:
         return f"IntegerMatrix({[list(r) for r in self.entries]!r})"
 
@@ -235,17 +224,18 @@ def _add_col(a: list[list[int]], dst: int, src: int, factor: int) -> None:
             row[dst] += factor * row[src]
 
 
-def smith_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
-    """Smith normal form with transforms: returns (D, U, V) with U*m*V = D.
+def smith_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:
+    """Smith normal form with its row transform: returns (D, U) with
+    U*m*V = D for some unimodular V, which is not kept.
 
-    D is diagonal with nonnegative entries, each dividing the next; U and V
-    are unimodular.  Pivots are chosen with minimal absolute value to keep
-    intermediate entries small; all arithmetic is exact.
+    D is diagonal with nonnegative entries, each dividing the next; U is
+    unimodular, and the rows of U*m past the rank of D are zero.  Pivots
+    are chosen with minimal absolute value to keep intermediate entries
+    small; all arithmetic is exact.
     """
     nrows, ncols = m.rows, m.cols
     a = [list(row) for row in m.entries]
     u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
 
     def min_pivot(t: int) -> tuple[int, int] | None:
         best: tuple[int, int] | None = None
@@ -271,7 +261,6 @@ def smith_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, I
                 _swap_rows(u, t, i)
             if j != t:
                 _swap_cols(a, t, j)
-                _swap_cols(v, t, j)
             p = a[t][t]
             reduced = False
             for i in range(t + 1, nrows):
@@ -285,7 +274,6 @@ def smith_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, I
                 if a[t][j]:
                     q = a[t][j] // p
                     _add_col(a, j, t, -q)
-                    _add_col(v, j, t, -q)
                     if a[t][j]:
                         reduced = True
             if reduced:
@@ -315,7 +303,7 @@ def smith_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, I
         t += 1
 
     d = IntegerMatrix(a, rows=nrows, cols=ncols)
-    return d, IntegerMatrix(u, rows=nrows, cols=nrows), IntegerMatrix(v, rows=ncols, cols=ncols)
+    return d, IntegerMatrix(u, rows=nrows, cols=nrows)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +423,7 @@ def free_abelianization(presentation: GroupPresentation) -> FreeAbelianization:
     """
     g = presentation.generator_count
     e = presentation.exponent_matrix()
-    d, u, _ = smith_normal_form(e)
+    d, u = smith_normal_form(e)
     diag = d.diagonal()
     free_rows = [i for i in range(g) if i >= len(diag) or diag[i] == 0]
     torsion = tuple(x for x in diag if x > 1)
@@ -467,21 +455,12 @@ class LaurentPolynomial:
                 clean[tuple(int(e) for e in exps)] = int(coeff)
         self.terms = clean
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, LaurentPolynomial)
             and self.variables == other.variables
             and self.terms == other.terms
         )
-
-    def __hash__(self) -> int:
-        return hash((self.variables, tuple(sorted(self.terms.items()))))
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items())

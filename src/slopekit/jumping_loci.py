@@ -128,16 +128,10 @@ class CyclotomicNumber:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         return self.modulus == other.modulus and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.modulus, self.coeffs))
 
     def __repr__(self) -> str:
         return f"CyclotomicNumber({self.modulus}, {list(self.coeffs)!r})"
@@ -789,9 +783,8 @@ def hironaka_b1(report: JumpingLocusReport, alpha: AbelianEpimorphism) -> CoverB
                 continue  # c = 0, the trivial character
             key = (exponent // g, tuple(x // g for x in exps))
             i = bisect_left(entries, key, key=_entry_key)
-            while i < len(entries) and _entry_key(entries[i]) == key:
+            if i < len(entries) and _entry_key(entries[i]) == key:
                 found.append(i)
-                i += 1
         found.sort()
     contributions = tuple(entries[i] for i in found)
     return CoverB1Result(report.b1 + sum(e.depth for e in contributions), contributions)

@@ -10,6 +10,7 @@ re-reduction of each rewritten relator.
 import itertools
 from collections import deque
 from fractions import Fraction
+from math import gcd
 
 from slopekit.covers import SubgroupPresentation, coset_action
 from slopekit.errors import SlopekitError
@@ -147,6 +148,27 @@ def rational_det(rows):
     return det
 
 
+def invariant_factors(m):
+    """Invariant factors of an integer matrix from its determinantal
+    divisors: with D_k the gcd of the k x k minors (D_0 = 1), the k-th factor
+    is D_k / D_(k-1), and every factor past the rank is 0.  One per diagonal
+    position, min(rows, cols) in all."""
+    size = min(m.rows, m.cols)
+    factors = []
+    previous = 1
+    for k in range(1, size + 1):
+        divisor = 0
+        for rows in itertools.combinations(m.entries, k):
+            for cols in itertools.combinations(range(m.cols), k):
+                minor = rational_det([[row[j] for j in cols] for row in rows])
+                divisor = gcd(divisor, int(minor))
+        if not divisor:
+            break
+        factors.append(divisor // previous)
+        previous = divisor
+    return tuple(factors) + (0,) * (size - len(factors))
+
+
 def rank_mod_p(rows, p, bound):
     """Rank over F_p of rows with entries in range(p), counted up to bound,
     by elimination with the pivot's inverse; the rows are consumed."""
@@ -171,7 +193,9 @@ def kernel_lattice_basis(alpha):
     """Generators of the full-rank sublattice ker(alpha) of Z^source_rank.
 
     Solves A x = -N y over Z for N = diag(factors): the kernel of the block
-    matrix [A | N] projected to the x coordinates.
+    matrix B = [A | N] projected to the x coordinates.  In the Smith form
+    U * B^T * V = D, each row u of U past the rank has u * B^T = 0; U is
+    unimodular, so these rows are a basis of ker B.
     """
     k, b = len(alpha.factors), alpha.source_rank
     if k == 0:
@@ -180,9 +204,10 @@ def kernel_lattice_basis(alpha):
         list(alpha.matrix[j]) + [alpha.factors[j] if i == j else 0 for i in range(k)]
         for j in range(k)
     ]
-    d, _, v = smith_normal_form(IntegerMatrix(block, rows=k, cols=b + k))
+    transposed = [[row[i] for row in block] for i in range(b + k)]
+    d, u = smith_normal_form(IntegerMatrix(transposed, rows=b + k, cols=k))
     rank = sum(1 for x in d.diagonal() if x)
-    return tuple(tuple(v.entries[i][j] for i in range(b)) for j in range(rank, b + k))
+    return tuple(row[:b] for row in u.entries[rank:])
 
 
 def kernel_lattice_hironaka_b1(report, alpha):
@@ -244,19 +269,19 @@ def reference_reidemeister_schreier(presentation, alpha):
         for src, dst in enumerate(perm):
             inverse_perms[i][dst] = src
 
-    transversal = {0: ()}
+    reached = {0}
     tree = set()
     queue = deque([0])
     while queue:
         c = queue.popleft()
         for i in range(1, g + 1):
             nxt = perms[i - 1][c]
-            if nxt not in transversal:
-                transversal[nxt] = transversal[c] + (i,)
+            if nxt not in reached:
+                reached.add(nxt)
                 tree.add((c, i))
                 queue.append(nxt)
-    if len(transversal) != d:
-        raise SlopekitError(f"coset action reached {len(transversal)} of {d} cosets")
+    if len(reached) != d:
+        raise SlopekitError(f"coset action reached {len(reached)} of {d} cosets")
 
     new_index = {}
     for c in range(d):
@@ -289,5 +314,4 @@ def reference_reidemeister_schreier(presentation, alpha):
         presentation=GroupPresentation(len(new_index), tuple(sub_relators)),
         ambient=presentation,
         index=d,
-        transversal=tuple(Word(transversal[c]) for c in range(d)),
     )

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -138,30 +139,6 @@ def test_reidemeister_schreier_genus2():
     assert abelianization(sub.presentation).free_rank == 6
 
 
-def test_transversal_is_schreier():
-    sub = reidemeister_schreier(torus_group(), AbelianEpimorphism.cyclic(4, (1, 2)))
-    assert len(sub.transversal) == 4
-    assert sub.transversal[0].letters == ()
-    # prefix-closed: every proper prefix is some other representative
-    reps = {w.letters for w in sub.transversal}
-    for word in sub.transversal:
-        for cut in range(len(word.letters)):
-            assert word.letters[:cut] in reps
-
-
-def test_transversal_matches_word_built_one():
-    # BFS in generator order: coset 1 by a, coset 2 by b, coset 3 = 1 + 2 by ab
-    sub = reidemeister_schreier(torus_group(), AbelianEpimorphism.cyclic(4, (1, 2)))
-    assert sub.transversal == (Word(()), Word((1,)), Word((2,)), Word((1, 2)))
-    for group, alpha in (
-        (surface_group(2), AbelianEpimorphism.cyclic(6, (1, 2, 0, 3))),
-        (surface_group(2), AbelianEpimorphism(4, (2, 4), ((1, 0, 1, 0), (0, 1, 0, 3)))),
-    ):
-        transversal = reidemeister_schreier(group, alpha).transversal
-        assert transversal == tuple(Word(w.letters) for w in transversal)
-        assert all(type(w) is Word for w in transversal)
-
-
 def test_subgroup_b1_examples():
     assert subgroup_b1(surface_group(2), AbelianEpimorphism.cyclic(3, (1, 0, 0, 0))) == 8
     for d in range(2, 7):
@@ -226,6 +203,21 @@ def test_large_index_matches_closed_form(alpha, b1, monkeypatch):
     assert b1 == 2 * (alpha.order + 1)
     assert subgroup_b1(surface_group(2), alpha) == b1
     assert shapes[-1] == (0, 0)
+
+
+def test_rewriting_memory_grows_linearly_in_the_index():
+    # A positive word per coset would hold d(d-1)/2 letters on this cover,
+    # about 70 MiB at d = 4096; the rewrite needs only its d*g-entry edge
+    # table and its 4d-letter relators, about 5 MiB.
+    alpha = AbelianEpimorphism.cyclic(4096, (1, 0, 0, 0))
+    tracemalloc.start()
+    try:
+        b1 = subgroup_b1(surface_group(2), alpha)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert b1 == 2 * alpha.order + 2
+    assert peak < 16 * 2**20, peak
 
 
 def dual_group_report(presentation, alpha):

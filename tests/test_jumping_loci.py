@@ -78,7 +78,7 @@ def test_cyclotomic_arithmetic_is_exact():
     w = root_powers(5, {0: 3, 6: -2, -2: 1})
     assert w.coeffs == (3, -2, 0, 1)
     assert w == CyclotomicNumber(5, [3, -2, 0, 1])
-    assert hash(w) == hash(CyclotomicNumber(5, [3, -2, 0, 1, 0]))
+    assert w == CyclotomicNumber(5, [3, -2, 0, 1, 0])
     assert w != CyclotomicNumber(10, [3, -2, 0, 1])
     # equality holds only between two CyclotomicNumbers
     assert CyclotomicNumber(5, [1]) != 1
