@@ -10,9 +10,14 @@ that numbers the edges of the coset graph.  The resulting presentation,
 after discarding the spanning-tree generators, gives the cover's first Betti number through
 plain abelianization - an independent route against which the jumping-locus
 computation can be cross-checked.  Its exponent matrix is sparse with mostly
-unit entries, so the abelianization eliminates unit pivots first, taking the
-shortest relator row and, in it, the unit whose generator occurs in the
-fewest rows; on surface-group covers nothing is left for the dense Smith form.
+unit entries.  A generator that occurs once with exponent +1 in one relator
+lift and once with -1 in another, and nowhere else, is an edge between the
+two; the abelianization first joins the relator rows along such edges by
+union-find, then eliminates the remaining unit pivots, taking the shortest
+row and, in it, the unit whose generator occurs in the fewest rows.  On
+surface-group covers every generator is an edge, the rank is the number of
+rows less the number of components, and nothing is left for the dense Smith
+form.
 """
 
 from __future__ import annotations

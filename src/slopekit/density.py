@@ -323,9 +323,9 @@ def density_certificate(
     """Certify the epsilon-density of the achieved slopes in [8, 9].
 
     Targets are the points 9 - p/q over the Farey fractions p/q of order at
-    most max_denominator.  They must form an epsilon/2-net of (8, 9) - this
-    is checked first, and failure raises NetInfeasibleError naming the
-    largest uncovered gap.  Each target then receives a family member with
+    most max_denominator.  The family parameters are checked first; then the
+    targets must form an epsilon/2-net of (8, 9), and failure raises
+    NetInfeasibleError naming the largest uncovered gap.  Each target then receives a family member with
     gap at most epsilon/2, so every point of [8, 9] ends up within epsilon
     of an achieved slope.
     """
@@ -334,6 +334,8 @@ def density_certificate(
         raise SlopekitError("epsilon must be positive")
     if max_denominator < 1:
         raise SlopekitError("max denominator must be >= 1")
+    # The family is checked before the Farey walk, whose cost grows as Q^2.
+    _check_family(exponent, fiber_genus)
     half = epsilon / 2
     # Reduced pairs with 0 < p < q, as TargetSlope would store them.
     pairs = list(_farey_pairs(max_denominator))
@@ -350,7 +352,6 @@ def density_certificate(
             f"largest uncovered gap is ({worst_gap[0]}, {worst_gap[1]}) "
             f"with covering radius {worst_radius} > {half}"
         )
-    _check_family(exponent, fiber_genus)
     a, b, genus_less_one = half.numerator, half.denominator, fiber_genus - 1
     entries = tuple(
         _first_member(p, q, exponent, genus_less_one, a, b) for p, q in pairs

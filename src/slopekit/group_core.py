@@ -5,7 +5,8 @@ generator indices (``+i`` for the i-th generator, ``-i`` for its inverse,
 indices starting at 1) and are kept freely reduced from the moment they are
 built.  Abelianization is computed from the Smith normal form of the
 generator/relator exponent matrix, over exact integers, after eliminating
-its unit entries sparsely; the row transform of the Smith normal form
+its graph columns by union-find and its other unit entries sparsely; the
+row transform of the Smith normal form
 supplies the map onto the maximal free abelian quotient Z^b that underlies
 both the symbolic Alexander matrix (Fox derivatives with letters sent to
 monomials t_1..t_b) and the character evaluations performed elsewhere.
@@ -333,31 +334,82 @@ class AbelianGroupStructure:
 def abelianization(presentation: GroupPresentation) -> AbelianGroupStructure:
     """H1 of the presented group from the Smith form of its exponent matrix.
 
-    Unit pivots are eliminated first on a sparse copy, one row per relator:
-    each is a Tietze move on the abelianized relators, adding one invariant
-    factor 1.  Rows come off a heap keyed by their length, shortest first;
-    a row pivots on its unit entry whose column meets the fewest rows, and
-    every row the elimination changes goes back on the heap, the entries it
-    leaves behind being skipped as stale.  The dense Smith form runs only on
-    the remainder, for surface-group covers an empty one.
+    The matrix is taken sparsely, one row per relator, and reduced in two
+    passes before the dense Smith form sees it.  Each step is a Tietze move
+    on the abelianized relators, adding one invariant factor 1.
+
+    * Graph columns first: a column whose only nonzero entries are +1 and
+      -1, in two rows, is an edge between those rows.  A union-find over the
+      rows joins the two groups of each edge, a unit pivot; an edge whose
+      rows are already joined is a zero column.  Each group of rows then
+      goes on as the sum of its rows, in which the graph columns cancel.
+      A graph with c components on r rows has rank r - c.
+    * Then the remaining unit pivots, off a heap of rows keyed by their
+      length, shortest first; a row pivots on its unit entry whose column
+      meets the fewest rows, and every row the elimination changes goes
+      back on the heap, the entries it leaves behind being skipped as
+      stale.
+
+    The dense Smith form runs only on the remainder.  On surface-group
+    covers every column is a graph column and the remainder is empty.
     """
+    g = presentation.generator_count
     rows: list[dict[int, int] | None] = []
-    cols: list[set[int]] = [set() for _ in range(presentation.generator_count + 1)]
-    for i, word in enumerate(presentation.relators):
+    for word in presentation.relators:
         row: dict[int, int] = {}
         for letter in word:
             if letter > 0:
                 row[letter] = row.get(letter, 0) + 1
             else:
                 row[-letter] = row.get(-letter, 0) - 1
-        row = {j: x for j, x in row.items() if x}
-        rows.append(row)
+        rows.append({j: x for j, x in row.items() if x})
+
+    # The row holding each column's +1 and its -1; a column with any other
+    # entry, or a second one of these, is marked as no edge.
+    head, tail, other = [-1] * (g + 1), [-1] * (g + 1), bytearray(g + 1)
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            if x == 1 and head[j] < 0:
+                head[j] = i
+            elif x == -1 and tail[j] < 0:
+                tail[j] = i
+            else:
+                other[j] = 1
+    root = list(range(len(rows)))
+
+    def find(a: int) -> int:
+        while root[a] != a:
+            root[a] = a = root[root[a]]  # path halving
+        return a
+
+    units, loose = 0, False
+    for j in range(1, g + 1):
+        a, b = head[j], tail[j]
+        if a >= 0 and b >= 0 and not other[j]:
+            a, b = find(a), find(b)
+            if a != b:
+                root[b] = a
+                units += 1
+        elif a >= 0 or b >= 0 or other[j]:
+            loose = True  # a nonzero column that is no edge
+    # Both ends of every edge now lie in one group, so the edge columns
+    # cancel in its sum; with no other nonzero column nothing is left.
+    if not loose:
+        rows = []
+    elif units:
+        groups: dict[int, dict[int, int]] = {}
+        for i, row in enumerate(rows):
+            group = groups.setdefault(find(i), {})
+            for j, x in row.items():
+                group[j] = group.get(j, 0) + x
+        rows = [{j: x for j, x in group.items() if x} for group in groups.values()]
+
+    cols: list[set[int]] = [set() for _ in range(g + 1)]
+    for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
-
     heap = [(len(row), i) for i, row in enumerate(rows) if row]
     heapq.heapify(heap)
-    units = 0
     while heap:
         length, i = heapq.heappop(heap)
         pivot_row = rows[i]

@@ -29,7 +29,10 @@ Scanning all characters of order up to a bound N yields the finite sets
     W_i = { xi | h^1(G; C_xi) >= i },
 
 recorded as (character, depth) pairs, together with the exponent (lcm of the
-orders occurring in W_1).  Two consumers are built on top:
+orders occurring in W_1).  h^1 is constant on Galois orbits, xi ~ xi^u for u
+a unit mod m, so a scan evaluates one member of each orbit, the first it
+reaches, and answers the other phi(m) - 1 from a table of pending conjugates
+that it keeps for the modulus being scanned.  Two consumers are built on top:
 
 * Hironaka's formula for the first Betti number of the finite abelian cover
   attached to an epimorphism alpha: G -> S, summed over the dual group of S:
@@ -53,7 +56,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .covers import AbelianEpimorphism
 from .errors import SlopekitError
@@ -432,10 +435,18 @@ class _Evaluator:
     relator is cut after each letter that is the last of its column, and
     that column, complete there, is tested before the walk goes on.  Any
     other presentation has one segment per relator, with column None.
+
+    During a scan the evaluator also holds the scan's table of pending
+    Galois conjugates for one modulus m: ``conjugate_modulus`` is m (0 when
+    no table is open), ``conjugate_units`` are the units u != 1 mod m, and
+    ``conjugates`` maps the exponents of each conjugate not yet reached to
+    its h^1 (see scan_jumping_loci).  A table belongs to the one scan
+    running, so two threads must not scan one presentation at once.
     """
 
     __slots__ = (
-        "presentation", "rank", "images", "pick", "steps", "segments", "generator_count", "bound"
+        "presentation", "rank", "images", "pick", "steps", "segments", "generator_count", "bound",
+        "conjugate_modulus", "conjugate_units", "conjugates",
     )
 
     def __init__(self, presentation: GroupPresentation):
@@ -455,6 +466,28 @@ class _Evaluator:
             self.segments = (_column_segments(self.steps[0]),)
         else:
             self.segments = tuple(((steps, None),) for steps in self.steps)
+        self.close_conjugates()
+
+    def open_conjugates(self, m: int, units: Sequence[int]) -> None:
+        """Open an empty table of pending conjugates for modulus m, whose
+        units other than 1 are ``units``."""
+        self.conjugate_modulus = m
+        self.conjugate_units = units
+        self.conjugates = {}
+
+    def close_conjugates(self) -> None:
+        self.conjugate_modulus = 0
+        self.conjugate_units = ()
+        self.conjugates = None
+
+    def representative_h1(self, character: TorsionCharacter) -> int:
+        """h1 at the first member of a Galois orbit that a scan reaches,
+        stored in the open table under each of its other members."""
+        h1 = self.h1(character)
+        exps, m, conjugates = character.exponents, self.conjugate_modulus, self.conjugates
+        for u in self.conjugate_units:
+            conjugates[tuple([u * x % m for x in exps])] = h1
+        return h1
 
     def shifts(self, character: TorsionCharacter) -> Sequence[int]:
         """Exponent of the character's value on each generator, after checking
@@ -528,8 +561,20 @@ def twisted_h1(presentation: GroupPresentation, character: TorsionCharacter) -> 
     a rank-deficient character, or a p that kills every nonzero minor of
     the bound's size - the rank comes from fraction-free elimination of
     A(xi) over Z[zeta_m].
+
+    h^1(xi^u) = h^1(xi) for every unit u mod m, since A(xi^u) is the Galois
+    conjugate of A(xi).  Inside scan_jumping_loci a character of the
+    modulus being scanned is first looked up in the scan's table of pending
+    conjugates, which answers every member of an orbit after the first;
+    any other call evaluates the character itself and stores nothing.
     """
-    return _evaluator(presentation).h1(character)
+    evaluator = _evaluator(presentation)
+    if character.modulus == evaluator.conjugate_modulus:
+        h1 = evaluator.conjugates.pop(character.exponents, None)
+        if h1 is not None:
+            return h1
+        return evaluator.representative_h1(character)
+    return evaluator.h1(character)
 
 
 # ---------------------------------------------------------------------------
@@ -688,42 +733,56 @@ _set_character = JumpEntry.character.__set__
 _set_depth = JumpEntry.depth.__set__
 
 
-def _enumerate_characters(rank: int, max_order: int) -> Iterator[TorsionCharacter]:
-    """Every character of rank ``rank`` and order 2..max_order, each in
-    canonical form (exponents in range(m), gcd with m equal to 1), in
-    ascending (order, exponents) order."""
-    new, set_modulus, set_exponents = object.__new__, _set_modulus, _set_exponents
-    for m in range(2, max_order + 1):
-        for exps in itertools.product(range(m), repeat=rank):
-            if exps and gcd(m, *exps) == 1:
-                character = new(TorsionCharacter)
-                set_modulus(character, m)
-                set_exponents(character, exps)
-                yield character
-
-
 def scan_jumping_loci(presentation: GroupPresentation, max_order: int) -> JumpingLocusReport:
     """Enumerate all torsion characters of order <= max_order and record jumps.
 
-    Characters are visited in canonical form (each exact order once), in
-    ascending (order, exponents) order.  The bound is mandatory: nothing in
-    the report speaks about characters of larger order.
+    Characters are visited in canonical form (each exact order once:
+    exponents in range(m) with gcd 1 with m), in ascending (order,
+    exponents) order, and twisted_h1 is called once for each.  The bound is
+    mandatory: nothing in the report speaks about characters of larger
+    order.
+
+    For each modulus m the scan opens a table of pending Galois conjugates
+    on the presentation's evaluator.  The first member of an orbit
+    {u * e mod m : u a unit} that the scan reaches is its lexicographically
+    smallest; it is evaluated in full, and its h^1 is stored under its
+    phi(m) - 1 other members, each answered later by one dict pop.  So the
+    F_p certificate, and any exact Z[zeta_m] elimination, runs once per
+    orbit.  The table drains by the end of each modulus and is dropped when
+    the scan ends, also when it raises.  At a prime m every nonzero
+    exponent vector is canonical, and no gcd is taken.
     """
     if max_order < 1:
         raise ValueError("scan bound must be >= 1")
     # The cached evaluator's own presentation, so that every twisted_h1 lookup
     # hits its cache by identity even when the caller passed an equal twin.
     evaluator = _evaluator(presentation)
+    group, rank = evaluator.presentation, evaluator.rank
     entries = []
-    new, set_character, set_depth = object.__new__, _set_character, _set_depth
-    for xi in _enumerate_characters(evaluator.rank, max_order):
-        depth = twisted_h1(evaluator.presentation, xi)
-        if depth >= 1:
-            entry = new(JumpEntry)
-            set_character(entry, xi)
-            set_depth(entry, depth)
-            entries.append(entry)
-    return JumpingLocusReport(max_order, evaluator.rank, tuple(entries))
+    new, set_modulus, set_exponents = object.__new__, _set_modulus, _set_exponents
+    set_character, set_depth = _set_character, _set_depth
+    try:
+        for m in range(2, max_order + 1):
+            units = [u for u in range(2, m) if gcd(u, m) == 1]
+            evaluator.open_conjugates(m, units)
+            vectors = itertools.product(range(m), repeat=rank)
+            if len(units) == m - 2:  # m is prime: skip only the zero vector
+                vectors = itertools.islice(vectors, 1, None)
+            else:
+                vectors = (exps for exps in vectors if gcd(m, *exps) == 1)
+            for exps in vectors:
+                xi = new(TorsionCharacter)
+                set_modulus(xi, m)
+                set_exponents(xi, exps)
+                depth = twisted_h1(group, xi)
+                if depth >= 1:
+                    entry = new(JumpEntry)
+                    set_character(entry, xi)
+                    set_depth(entry, depth)
+                    entries.append(entry)
+    finally:
+        evaluator.close_conjugates()
+    return JumpingLocusReport(max_order, rank, tuple(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,12 @@ from slopekit.group_core import (
     free_abelianization,
     smith_normal_form,
 )
-from slopekit.jumping_loci import CharacterDomainError, CoverB1Result, CyclotomicNumber
+from slopekit.jumping_loci import (
+    CharacterDomainError,
+    CoverB1Result,
+    CyclotomicNumber,
+    TorsionCharacter,
+)
 
 
 def laurent_add(a, b):
@@ -58,6 +63,16 @@ def word_monomial(presentation, word):
         for k in range(fa.rank):
             image[k] += power * fa.generator_images[gen][k]
     return LaurentPolynomial(fa.rank, {tuple(image): 1})
+
+
+def enumerate_characters(rank, max_order):
+    """Every character of rank ``rank`` and order 2..max_order, each in
+    canonical form (exponents in range(m), gcd with m equal to 1), in
+    ascending (order, exponents) order: the characters a scan visits."""
+    for m in range(2, max_order + 1):
+        for exps in itertools.product(range(m), repeat=rank):
+            if exps and gcd(m, *exps) == 1:
+                yield TorsionCharacter(m, exps)
 
 
 def root_powers(modulus, powers):

@@ -260,6 +260,25 @@ def test_bad_exponent_is_one_json_error(capsys, exponent, goal):
     }
 
 
+def test_family_is_checked_before_the_farey_walk(monkeypatch, capsys):
+    from slopekit import density
+
+    def no_walk(max_denominator):
+        raise AssertionError("the Farey walk ran before the family check")
+
+    monkeypatch.setattr(density, "_farey_pairs", no_walk)
+    with pytest.raises(SlopekitError, match="^exponent must be >= 1$"):
+        density_certificate(Fraction(1, 1500), 0, 19, 3000)
+    # a net that is also infeasible: the family error is the one named
+    with pytest.raises(SlopekitError, match="^fiber genus must be >= 2$"):
+        density_certificate(Fraction(1, 100), 1, 1, 3)
+    code = main(["density", "--epsilon", "1/1500", "--max-denominator", "3000",
+                 "--exponent", "0"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "exponent must be >= 1"
+
+
 @pytest.mark.parametrize("fake_gap", [
     lambda d: Fraction(1, d),  # gap at n* exceeds epsilon
     lambda d: Fraction(0),  # gap at n* - 1 is already within epsilon

@@ -243,6 +243,93 @@ def test_unit_elimination_matches_dense_smith_form(monkeypatch):
     check()
 
 
+def test_graph_columns_match_the_dense_smith_form(monkeypatch):
+    # Rows are the vertices of a random multigraph and each generator an
+    # edge: +1 in one relator, -1 in another.  Parallel edges, isolated
+    # vertices (empty relators), generators in no relator and loops (x_j and
+    # x_j^-1 in one relator, a column that cancels) all occur; mixed cases
+    # add columns with a +-2 entry and columns that meet three rows, which
+    # are no edges.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def multigraph(draw):
+        vertices = draw(st.integers(0, 7))
+        mixed = draw(st.booleans())
+        kinds = ["edge", "edge", "edge", "loop", "none"] + (["double", "three"] if mixed else [])
+        letters = [[] for _ in range(vertices)]
+        edges = []
+        columns = draw(st.integers(0, 10))
+        for j in range(1, columns + 1):
+            kind = draw(st.sampled_from(kinds))
+            a = draw(st.integers(0, vertices - 1)) if vertices else None
+            if a is None or kind == "none" or (kind != "loop" and vertices < 2 + (kind == "three")):
+                continue
+            if kind == "loop":
+                letters[a] += [j, -j]
+                continue
+            b = (a + draw(st.integers(1, vertices - 1))) % vertices
+            sign = draw(st.sampled_from((1, -1)))
+            letters[a].append(sign * j)
+            if kind == "edge":
+                letters[b].append(-sign * j)
+                edges.append((a, b))
+            elif kind == "double":
+                letters[b] += [sign * j] * 2
+            else:
+                c = next(v for v in range(vertices) if v not in (a, b))
+                letters[b].append(-sign * j)
+                letters[c].append(draw(st.sampled_from((1, -1))) * j)
+        relators = tuple(tuple(draw(st.permutations(word))) for word in letters)
+        return GroupPresentation(columns, relators), vertices, edges, mixed
+
+    remainders = []
+
+    def recording_smith_form(m):
+        remainders.append(m)
+        return smith_normal_form(m)
+
+    def components(vertices, edges):
+        root = list(range(vertices))
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        for a, b in edges:
+            root[find(a)] = find(b)
+        return len({find(v) for v in range(vertices)})
+
+    seen = set()
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(multigraph())
+    @hypothesis.example((GroupPresentation(2, ((1, 2), (-1, -2))), 2, [(0, 1), (0, 1)], False))
+    @hypothesis.example((GroupPresentation(1, ((1, 1), (-1,))), 2, [], True))
+    def check(case):
+        presentation, vertices, edges, mixed = case
+        with monkeypatch.context() as patch:
+            patch.setattr(group_core, "smith_normal_form", recording_smith_form)
+            structure = abelianization(presentation)
+        assert structure == dense_abelianization(presentation)
+        remainder = remainders[-1]
+        assert all(abs(x) != 1 for row in remainder.entries for x in row)
+        if not mixed:
+            g = presentation.generator_count
+            assert structure.free_rank == g - (vertices - components(vertices, edges))
+            assert (remainder.rows, remainder.cols) == (0, 0)
+            seen.add("graph")
+        elif remainder.rows and remainder.cols:
+            seen.add("mixed with a remainder")
+        if len(edges) > len(set(edges)):
+            seen.add("parallel edges")
+
+    check()
+    assert seen == {"graph", "mixed with a remainder", "parallel edges"}
+
+
 def random_commutator_relator(rng, rank):
     def word():
         return [rng.choice((1, -1)) * rng.randint(1, rank) for _ in range(3)]

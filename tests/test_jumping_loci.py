@@ -36,13 +36,13 @@ from slopekit.jumping_loci import (
     hironaka_b1,
     scan_jumping_loci,
     twisted_h1,
-    _enumerate_characters,
     _fp_root_powers,
     _is_prime,
     _rank_mod_p,
 )
 
 from _oracles import (
+    enumerate_characters,
     evaluate_laurent,
     kernel_lattice_hironaka_b1,
     pairing,
@@ -368,7 +368,9 @@ def test_one_relator_h1_matches_exact_elimination():
 def test_a_vanishing_one_relator_row_reaches_the_exact_fallback(monkeypatch):
     # <x, y | x^2 y x^-2 y^-1>: the Fox row (1 + x - x^2 y x^-1 - x^2 y x^-2,
     # x^2 - 1) vanishes exactly when chi(x) = -1, and nowhere else.  No column
-    # can certify those characters, so each must reach the Z[zeta_m] rank.
+    # can certify those characters, so each Galois orbit of them must reach
+    # the Z[zeta_m] rank once, at its first member; the scan's table of
+    # pending conjugates answers the others.
     group = GroupPresentation(2, ((1, 1, 2, -1, -1, -2),))
     original = jumping_loci.evaluate_alexander_matrix
     exact = []
@@ -383,8 +385,10 @@ def test_a_vanishing_one_relator_row_reaches_the_exact_fallback(monkeypatch):
     assert [e.depth for e in report.entries] == [1] * 12
     orders = [e.character.modulus for e in report.entries]
     assert [orders.count(m) for m in (2, 4, 6, 8)] == [2, 2, 4, 4]
-    assert all(2 * xi.exponents[0] == xi.modulus for xi in exact)
-    assert exact == [e.character for e in report.entries]
+    assert exact == [
+        TorsionCharacter(m, exps)
+        for m, exps in [(2, (1, 0)), (2, (1, 1)), (4, (2, 1)), (6, (3, 1)), (6, (3, 2)), (8, (4, 1))]
+    ]
 
 
 def test_fp_root_table():
@@ -454,9 +458,26 @@ def test_fraction_free_rank_mod_p_matches_the_inverse_oracle(p):
             assert _rank_mod_p([r[:] for r in rows], p, bound) == expected
 
 
-def test_scanned_characters_and_entries_are_constructor_built_values():
+def _scanned_characters(monkeypatch, presentation, bound):
+    """The characters a scan passes to twisted_h1, in call order."""
+    original = jumping_loci.twisted_h1
+    seen = []
+
+    def recorded(group, xi):
+        seen.append(xi)
+        return original(group, xi)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(jumping_loci, "twisted_h1", recorded)
+        scan_jumping_loci(presentation, bound)
+    return seen
+
+
+def test_scanned_characters_and_entries_are_constructor_built_values(monkeypatch):
     report = scan_jumping_loci(trefoil_group(), 12)
-    scanned = list(_enumerate_characters(2, 4)) + [e.character for e in report.entries]
+    scanned = _scanned_characters(monkeypatch, free_group(2), 4) + [
+        e.character for e in report.entries
+    ]
     for xi in scanned:
         built = TorsionCharacter(xi.modulus, xi.exponents)
         assert xi == built and hash(xi) == hash(built)
@@ -473,13 +494,15 @@ def test_scanned_characters_and_entries_are_constructor_built_values():
                 setattr(entry, name, getattr(entry, name))
 
 
-def test_enumeration_is_canonical_and_ordered():
+def test_enumeration_is_canonical_and_ordered(monkeypatch):
     expected = sorted(
         {TorsionCharacter(m, e) for m in range(2, 7) for e in itertools.product(range(m), repeat=3)}
         - {TorsionCharacter(1, (0,) * 3)},
         key=lambda xi: (xi.modulus, xi.exponents),
     )
-    assert list(_enumerate_characters(3, 6)) == expected
+    assert list(enumerate_characters(3, 6)) == expected
+    # the scan's own walk over the moduli, prime (no gcd taken) or not
+    assert _scanned_characters(monkeypatch, free_group(3), 6) == expected
 
 
 def test_conjugation_symmetry():
@@ -497,7 +520,7 @@ def test_conjugation_symmetry():
         from slopekit.group_core import free_abelianization
 
         rank = free_abelianization(presentation).rank
-        for xi in _enumerate_characters(rank, bound):
+        for xi in enumerate_characters(rank, bound):
             assert twisted_h1(presentation, xi) == twisted_h1(presentation, conjugate(xi))
         # entry set is closed under conjugation with matching depths
         depths = {e.character: e.depth for e in report.entries}
@@ -607,7 +630,7 @@ def test_scan_report_matches_public_constructor_and_exact_ranks():
         assert report.entries == public.entries and report.exponent == public.exponent
         depths = {e.character: e.depth for e in report.entries}
         g = presentation.generator_count
-        for xi in _enumerate_characters(report.b1, bound):
+        for xi in enumerate_characters(report.b1, bound):
             exact = g - 1 - cyclotomic_rank(evaluate_alexander_matrix(presentation, xi))
             assert depths.get(xi, 0) == twisted_h1(presentation, xi) == exact
 
@@ -634,6 +657,108 @@ def test_scan_passes_the_cached_presentation_to_twisted_h1(monkeypatch):
     assert all(presentation is genus2 for presentation in received)
 
 
+def _one_or_three_relator_groups(st):
+    """Random groups with one or three relators on 1-3 generators, and a
+    scan bound up to 11, so that phi(m) runs from 1 to 10."""
+
+    @st.composite
+    def groups(draw):
+        gens = draw(st.integers(1, 3))
+        letters = st.integers(1, gens).flatmap(lambda i: st.sampled_from((i, -i)))
+        count = draw(st.sampled_from((1, 3)))
+        words = draw(st.lists(st.lists(letters, min_size=1, max_size=10),
+                              min_size=count, max_size=count))
+        if draw(st.booleans()):
+            # exponent sums 0: a free part of rank gens, and jumps to find
+            words = [w + [-x for x in draw(st.permutations(w))] for w in words]
+        presentation = GroupPresentation(gens, tuple(tuple(w) for w in words))
+        return presentation, draw(st.integers(2, 11))
+
+    return groups()
+
+
+def test_scan_report_equals_per_character_twisted_h1_outside_a_scan():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(_one_or_three_relator_groups(st))
+    def check(case):
+        presentation, bound = case
+        report = scan_jumping_loci(presentation, bound)
+        evaluator = jumping_loci._evaluator(presentation)
+        assert evaluator.conjugates is None and evaluator.conjugate_modulus == 0
+        entries = []
+        for xi in enumerate_characters(report.b1, bound):
+            depth = twisted_h1(presentation, xi)
+            if depth >= 1:
+                entries.append(JumpEntry(xi, depth))
+        assert report == JumpingLocusReport(bound, report.b1, tuple(entries))
+
+    check()
+
+
+def test_conjugate_table_drains_per_modulus_and_is_dropped_after_an_aborted_scan(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    original = jumping_loci.twisted_h1
+
+    class Abort(Exception):
+        pass
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(_one_or_three_relator_groups(st), st.integers(0, 400))
+    def check(case, abort_at):
+        presentation, bound = case
+        evaluator = jumping_loci._evaluator(presentation)
+        pending = []  # (modulus, table size after the call)
+
+        def recorded(group, xi):
+            depth = original(group, xi)
+            pending.append((xi.modulus, len(evaluator.conjugates)))
+            return depth
+
+        with monkeypatch.context() as patch:
+            patch.setattr(jumping_loci, "twisted_h1", recorded)
+            expected = scan_jumping_loci(presentation, bound)
+        assert evaluator.conjugates is None and evaluator.conjugate_modulus == 0
+        # the last character of each modulus leaves the table empty
+        for (m, size), (after, _) in zip(pending, pending[1:] + [(None, None)]):
+            if after != m:
+                assert size == 0, (m, size)
+
+        calls = []
+
+        def aborting(group, xi):
+            if len(calls) == abort_at:
+                raise Abort
+            calls.append(xi)
+            return original(group, xi)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(jumping_loci, "twisted_h1", aborting)
+            try:
+                scan_jumping_loci(presentation, bound)
+            except Abort:
+                pass
+        assert evaluator.conjugates is None and evaluator.conjugate_modulus == 0
+        # nothing stale answers a later scan or a direct call
+        assert scan_jumping_loci(presentation, bound) == expected
+        for xi in calls:
+            assert twisted_h1(presentation, xi) == jumping_loci._Evaluator(presentation).h1(xi)
+
+    check()
+
+
+def test_a_direct_twisted_h1_call_stores_no_conjugates():
+    group = surface_group(2)
+    evaluator = jumping_loci._evaluator(group)
+    xi = TorsionCharacter(10007, (1, 2, 3, 4))
+    assert _is_prime(10007)
+    assert twisted_h1(group, xi) == 2
+    assert evaluator.conjugates is None and evaluator.conjugate_modulus == 0
+
+
 def test_twisted_h1_alternating_presentations_matches_fresh_evaluation():
     genus2 = surface_group(2)
     twin = GroupPresentation(4, ((1, 2, -1, -2, 3, 4, -3, -4),))
@@ -650,7 +775,7 @@ def test_twisted_h1_alternating_presentations_matches_fresh_evaluation():
     cases = []
     for presentation, bound in presentations:
         rank = free_abelianization(presentation).rank
-        cases += [(presentation, xi) for xi in _enumerate_characters(rank, bound)]
+        cases += [(presentation, xi) for xi in enumerate_characters(rank, bound)]
     fresh = [jumping_loci._Evaluator(presentation).h1(xi) for presentation, xi in cases]
     order = list(range(len(cases))) * 2
     random.Random(0).shuffle(order)
@@ -680,7 +805,7 @@ def test_evaluator_h1_matches_the_exact_rank_for_every_class_of_generator_image(
         assert (evaluator.pick is not None) == lookup
         g, rank = presentation.generator_count, len(images[0])
         assert evaluator.h1(TorsionCharacter(1, (0,) * rank)) == rank
-        for xi in _enumerate_characters(rank, 6):
+        for xi in enumerate_characters(rank, 6):
             assert list(evaluator.shifts(xi)) == [pairing(xi, image) for image in images]
             exact = g - 1 - cyclotomic_rank(evaluate_alexander_matrix(presentation, xi))
             assert evaluator.h1(xi) == exact
