@@ -62,6 +62,9 @@ class AbelianEpimorphism:
         if self.source_rank < 0:
             raise NotAnEpimorphismError("source rank must be nonnegative")
         try:
+            # operator.index takes bool, but JSON true is not the integer 1
+            if any(isinstance(x, bool) for row in (self.factors, *self.matrix) for x in row):
+                raise TypeError("'bool' object cannot be interpreted as an integer")
             factors = tuple(operator.index(n) for n in self.factors)
             rows = tuple(tuple(operator.index(x) for x in row) for row in self.matrix)
         except TypeError as exc:

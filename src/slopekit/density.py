@@ -13,9 +13,11 @@ the family stays of Albanese dimension one.  The achieved slope is
 and the convergence gap collapses to p / (q * (n e q (g_F - 1) + 1)), which
 is O(1/n), so the first n within epsilon is solved in closed form and checked
 exactly at n and n - 1.  A density certificate instantiates one convergent
-family per Farey target of bounded denominator and checks, by integer
+family per Farey target of denominator at most Q and checks, by integer
 cross-multiplication of numerators and denominators, that the achieved slopes
-leave no point of [8, 9] farther than epsilon away.  No floating point enters
+leave no point of [8, 9] farther than epsilon away.  The targets form the
+needed epsilon/2-net only when Q >= 2/epsilon: their covering radius is 1/Q
+in closed form, checked before any target is built.  No floating point enters
 any comparison.  An entry is the row of 12 integers that every output format
 prints; its TargetSlope, FamilyParams and Fractions are built only when a
 library caller reads the properties that name them.
@@ -278,40 +280,27 @@ class DensityCertificate:
             )
 
 
-def _widest_gap(
-    values: Sequence[tuple[int, int]],
-) -> tuple[Fraction, tuple[Fraction, Fraction]]:
-    """Covering radius of sorted points num/den (den >= 1) over [8, 9] and the
-    first gap reaching it.
-
-    The 8-end is checked first, then the 9-end, then the interior gaps; a
-    later gap replaces the widest only when strictly wider.  The radius is
-    kept as an integer pair; Fractions are built for the result only.
-    """
-    count = len(values)
+def _widest_gap(values: Sequence[tuple[int, int]]) -> Fraction:
+    """Covering radius of sorted points num/den (den >= 1) over [8, 9], kept
+    as an integer pair until the result."""
     (first_num, first_den), (last_num, last_den) = values[0], values[-1]
-    # The widest gap so far runs from point `best` to point `best + 1`, where
-    # point -1 is 8 and point `count` is 9; its half width is r_num / r_den.
-    r_num, r_den, best = first_num - 8 * first_den, first_den, -1
+    # The widest half gap so far is r_num / r_den; the end gaps count whole.
+    r_num, r_den = first_num - 8 * first_den, first_den
     if (9 * last_den - last_num) * r_den > r_num * last_den:
-        r_num, r_den, best = 9 * last_den - last_num, last_den, count - 1
-    for i, ((left_num, left_den), (right_num, right_den)) in enumerate(zip(values, values[1:])):
+        r_num, r_den = 9 * last_den - last_num, last_den
+    for (left_num, left_den), (right_num, right_den) in zip(values, values[1:]):
         width_num = right_num * left_den - left_num * right_den
         width_den = 2 * left_den * right_den
         if width_num * r_den > r_num * width_den:
-            r_num, r_den, best = width_num, width_den, i
-
-    def point(j: int) -> Fraction:
-        return Fraction(8) if j < 0 else Fraction(9) if j == count else Fraction(*values[j])
-
-    return Fraction(r_num, r_den), (point(best), point(best + 1))
+            r_num, r_den = width_num, width_den
+    return Fraction(r_num, r_den)
 
 
 def covering_radius(certificate: DensityCertificate) -> Fraction:
     """Exact sup over [8, 9] of the distance to the achieved slopes."""
     slopes = [(e.slope_num, e.slope_den) for e in certificate.entries]
     slopes.sort(key=_exact_key(slopes))
-    return _widest_gap(slopes)[0]
+    return _widest_gap(slopes)
 
 
 def density_certificate(
@@ -323,9 +312,11 @@ def density_certificate(
     """Certify the epsilon-density of the achieved slopes in [8, 9].
 
     Targets are the points 9 - p/q over the Farey fractions p/q of order at
-    most max_denominator.  The family parameters are checked first; then the
-    targets must form an epsilon/2-net of (8, 9), and failure raises
-    NetInfeasibleError naming the largest uncovered gap.  Each target then receives a family member with
+    most Q = max_denominator.  The family parameters are checked first;
+    then the targets must form an epsilon/2-net of (8, 9).  Their covering
+    radius is 1/Q in closed form, so the net needs Q >= 2/epsilon, and a
+    smaller Q raises NetInfeasibleError naming the gap (8, 8 + 1/Q) before
+    any target is built.  Each target then receives a family member with
     gap at most epsilon/2, so every point of [8, 9] ends up within epsilon
     of an achieved slope.
     """
@@ -334,27 +325,32 @@ def density_certificate(
         raise SlopekitError("epsilon must be positive")
     if max_denominator < 1:
         raise SlopekitError("max denominator must be >= 1")
-    # The family is checked before the Farey walk, whose cost grows as Q^2.
     _check_family(exponent, fiber_genus)
     half = epsilon / 2
-    # Reduced pairs with 0 < p < q, as TargetSlope would store them.
-    pairs = list(_farey_pairs(max_denominator))
-    pairs.reverse()  # 9 - p/q ascends as p/q descends: now in value order
-    if not pairs:
+    if max_denominator == 1:
         raise NetInfeasibleError(
-            f"no reduced p/q with 0 < p < q <= {max_denominator}; "
+            "no reduced p/q with 0 < p < q <= 1; "
             "largest uncovered gap is all of (8, 9), radius 1/2"
         )
-    worst_radius, worst_gap = _widest_gap([(9 * q - p, q) for p, q in pairs])
-    if _exceeds(worst_radius, half):
+    # For Q >= 2 the targets run from 8 + 1/Q to 9 - 1/Q, so both end gaps
+    # have radius 1/Q.  Farey neighbours a/b < c/d of order Q satisfy
+    # bc - ad = 1 and b + d > Q (Hardy & Wright, ch. III); inside (0, 1)
+    # both b, d >= 2, so bd >= 2(Q - 1) and no interior half gap
+    # 1/(2bd) exceeds 1/(4(Q - 1)) < 1/Q.  The radius is 1/Q, and on the
+    # tie the 8-end is the gap named.
+    radius = Fraction(1, max_denominator)
+    if _exceeds(radius, half):
         raise NetInfeasibleError(
             f"targets with q <= {max_denominator} are not an epsilon/2-net: "
-            f"largest uncovered gap is ({worst_gap[0]}, {worst_gap[1]}) "
-            f"with covering radius {worst_radius} > {half}"
+            f"largest uncovered gap is (8, {8 + radius}) "
+            f"with covering radius {radius} > {half}"
         )
     a, b, genus_less_one = half.numerator, half.denominator, fiber_genus - 1
+    # c/q -> (q - c)/q maps the Farey fractions onto themselves, so the
+    # reduced p = q - c descend as c/q ascends: 9 - p/q comes in value order.
     entries = tuple(
-        _first_member(p, q, exponent, genus_less_one, a, b) for p, q in pairs
+        _first_member(q - c, q, exponent, genus_less_one, a, b)
+        for c, q in _farey_pairs(max_denominator)
     )
     return DensityCertificate(epsilon, entries)
 

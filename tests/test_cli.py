@@ -342,12 +342,15 @@ def test_epimorphism_without_factors_is_an_error(capsys, genus2_file, tmp_path):
 
 
 def test_non_integral_epimorphism_is_an_error(capsys, genus2_file, tmp_path):
-    # truncated to 2 and 1, the first file would answer b1 = 18 with exit 0
+    # truncated to 2 and 1, the first file would answer b1 = 18 with exit 0,
+    # and so would the fourth with true read as 1
     epi_path = tmp_path / "epi.json"
     for data in (
         {"factors": [2.7, 4], "matrix": [[1.9, 0, 0, 0], [0, 1, 0, 0]]},
         {"factors": [2, 4], "matrix": [[1, 0, 0, 0], [0, 1.0, 0, 0]]},
         {"factors": ["2", 4], "matrix": [[1, 0, 0, 0], [0, 1, 0, 0]]},
+        {"factors": [2, 4], "matrix": [[True, 0, 0, 0], [0, 1, 0, 0]]},
+        {"factors": [True, 4], "matrix": [[1, 0, 0, 0], [0, 1, 0, 0]]},
     ):
         epi_path.write_text(json.dumps(data))
         code, out, err = run_cli(

@@ -331,19 +331,53 @@ def test_certificate_infeasible():
     )
 
 
-def test_widest_gap_names_the_first_widest():
-    from slopekit.density import _widest_gap
+@pytest.mark.parametrize("q_max", [*range(2, 81), 240])
+def test_farey_targets_have_radius_one_over_q(q_max):
+    from slopekit.density import _farey_pairs
 
-    # points are (numerator, denominator) pairs
-    # the 8-end, the interior gap and the 9-end all have radius 1/4
-    values = [(33, 4), (35, 4)]
-    assert _widest_gap(values) == (Fraction(1, 4), (Fraction(8), Fraction(33, 4)))
-    assert _widest_gap(values[1:]) == (Fraction(3, 4), (Fraction(8), Fraction(35, 4)))
-    assert _widest_gap([(8, 1), (17, 2)]) == (
-        Fraction(1, 2), (Fraction(17, 2), Fraction(9)))
-    # interior ties keep the first gap; only a strictly wider one replaces it
-    values = [(8, 1), (33, 4), (17, 2), (35, 4), (9, 1)]
-    assert _widest_gap(values) == (Fraction(1, 8), (Fraction(8), Fraction(33, 4)))
+    # the radius that density_certificate takes in closed form
+    targets = [9 - Fraction(q - c, q) for c, q in _farey_pairs(q_max)]
+    assert targets == sorted(targets)
+    assert _reference_widest_gap(targets) == (
+        Fraction(1, q_max), (Fraction(8), 8 + Fraction(1, q_max)))
+
+
+def test_farey_pairs_are_symmetric():
+    from slopekit.density import _farey_pairs
+
+    for q_max in range(1, 61):
+        pairs = list(_farey_pairs(q_max))
+        assert [(q - c, q) for c, q in _farey_pairs(q_max)] == pairs[::-1]
+
+
+def test_net_is_refused_before_the_farey_walk(monkeypatch, capsys):
+    from slopekit import density
+
+    def no_walk(max_denominator):
+        raise AssertionError("the Farey walk ran before the net check")
+
+    monkeypatch.setattr(density, "_farey_pairs", no_walk)
+    with pytest.raises(NetInfeasibleError) as err:
+        density_certificate(Fraction(1, 2000), 1, 19, 3999)
+    assert str(err.value).endswith("(8, 31993/3999) with covering radius 1/3999 > 1/4000")
+    code = main(["density", "--epsilon", "1/2000", "--max-denominator", "3999"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": str(err.value), "module": "density", "type": "NetInfeasibleError"
+    }
+
+
+@pytest.mark.parametrize("epsilon", [Fraction(1, 2), Fraction(1, 4), Fraction(2, 7), Fraction(1, 60)])
+def test_net_needs_q_at_least_two_over_epsilon(epsilon):
+    q_max = int(2 / epsilon) - 1  # one below the smallest accepted Q
+    with pytest.raises(NetInfeasibleError) as err:
+        density_certificate(epsilon, 1, 19, q_max)
+    assert str(err.value) == (
+        f"targets with q <= {q_max} are not an epsilon/2-net: largest uncovered gap is "
+        f"(8, {8 + Fraction(1, q_max)}) with covering radius 1/{q_max} > {epsilon / 2}"
+    )
+    assert density_certificate(epsilon, 1, 19, q_max + 1).epsilon == epsilon
 
 
 def _reference_widest_gap(values):
@@ -406,7 +440,7 @@ def test_widest_gap_and_covering_radius_match_fractions():
         expected = _reference_widest_gap(sorted(values))
         # unreduced pairs name the same points
         pairs = [(v.numerator * scale, v.denominator * scale) for v in sorted(values)]
-        assert _widest_gap(pairs) == expected
+        assert _widest_gap(pairs) == expected[0]
         entries = [
             ConvergenceReport(1, 2, 17, 2, 1, 1, 1, 1, *v.as_integer_ratio(),
                               *abs(v - Fraction(17, 2)).as_integer_ratio())
