@@ -35,7 +35,6 @@ from .group_core import (
     free_abelianization,
 )
 from .jumping_loci import (
-    JumpEntry,
     JumpingLocusReport,
     TorsionCharacter,
     evaluate_alexander_matrix,
@@ -216,52 +215,68 @@ def _json_text(obj) -> str:
 
 # A scan report can run to megabytes, and `json.dumps` with `indent` falls back
 # to the pure-Python encoder; these templates print the same bytes as
-# `_json_text(report.to_json_dict())` in one pass.  Every entry has rank b1, so
-# one entry template per report, with one %d per exponent, prints them all.  An
-# entry's character is nontrivial, so a report with entries has b1 >= 1.
-_SCAN_JSON = '{\n  "b1": %d,\n  "entries": %s,\n  "exponent": %d,\n  "scan_bound": %s\n}\n'
+# `_json_text(report.to_json_dict())` in one pass over the report's table.
+# Every entry has rank b1, so one entry template per order, with one %d per
+# exponent, prints a whole row.  An entry's character is nontrivial, so a
+# report with entries has b1 >= 1.  The header and footer are joined onto the
+# first and last entry lines, so the output is built once, by one join.
+_SCAN_JSON_HEAD = '{\n  "b1": %d,\n  "entries": '
+_SCAN_JSON_TAIL = ',\n  "exponent": %d,\n  "scan_bound": %s\n}\n'
 _SCAN_TEXT = "scan bound: %s\nb1: %d\nexponent: %d\nnontrivial entries: %d\n"
 # The `cover-b1` result in the bytes of `_json_text`, its contributions
 # rendered as scan entries.
-_COVER_JSON = (
-    '{\n  "agree": %s,\n  "contributions": %s,\n  "deck_exponent": %d,\n'
-    '  "hironaka_b1": %d,\n  "reidemeister_schreier_b1": %d,\n  "scan_bound": %d,\n'
-    '  "warning": null\n}\n'
+_COVER_JSON_HEAD = '{\n  "agree": %s,\n  "contributions": '
+_COVER_JSON_TAIL = (
+    ',\n  "deck_exponent": %d,\n  "hironaka_b1": %d,\n  "reidemeister_schreier_b1": %d,\n'
+    '  "scan_bound": %d,\n  "warning": null\n}\n'
 )
 
 
-def _entries_json(b1: int, entries: Sequence[JumpEntry]) -> str:
-    """A JSON list of rank-b1 entries, indented as a top-level key's value."""
-    if not entries:
-        return "[]"
-    entry = (
+def _json_entry(b1: int, modulus: str = "%d") -> str:
+    """The template of one rank-b1 entry, filled from (depth, *exponents)
+    and then the modulus unless ``modulus`` gives its digits, ending in the
+    separator that follows it in the entry list."""
+    return (
         '    {\n      "depth": %d,\n      "exponents": [\n'
         + ",\n".join(["        %d"] * b1)
-        + '\n      ],\n      "modulus": %d\n    }'
+        + '\n      ],\n      "modulus": ' + modulus + '\n    },\n'
     )
-    return "[\n%s\n  ]" % ",\n".join([
-        entry % (e.depth, *e.character.exponents, e.character.modulus) for e in entries
-    ])
 
 
+def _json_with_entries(head: str, lines: list[str], tail: str) -> str:
+    """head, the entry lines as a top-level key's JSON list, then tail;
+    ``lines`` is consumed."""
+    if not lines:
+        return head + "[]" + tail
+    lines[0] = head + "[\n" + lines[0]
+    lines[-1] = lines[-1][:-2] + "\n  ]" + tail
+    return "".join(lines)
+
+
+# Both scan renderers put the order's digits into its row's template and fill
+# it by tuple concatenation, which is cheaper than a starred tuple display.
 def _scan_json(report: JumpingLocusReport) -> str:
-    return _SCAN_JSON % (
-        report.b1,
-        _entries_json(report.b1, report.entries),
-        report.exponent,
-        "null" if report.scan_bound is None else "%d" % report.scan_bound,
+    lines = []
+    for order, row in report.depths.items():
+        entry = _json_entry(report.b1, "%d" % order)
+        lines += [entry % ((depth,) + exponents) for exponents, depth in row.items()]
+    return _json_with_entries(
+        _SCAN_JSON_HEAD % report.b1,
+        lines,
+        _SCAN_JSON_TAIL % (
+            report.exponent, "null" if report.scan_bound is None else "%d" % report.scan_bound
+        ),
     )
 
 
 def _scan_text(report: JumpingLocusReport) -> str:
-    entry = "  order %d exponents [" + ", ".join(["%d"] * report.b1) + "]: depth %d\n"
-    return (
-        _SCAN_TEXT % (report.scan_bound, report.b1, report.exponent, len(report.entries))
-        + "".join([
-            entry % (e.character.modulus, *e.character.exponents, e.depth)
-            for e in report.entries
-        ])
-    )
+    lines = [""]
+    fields = ", ".join(["%d"] * report.b1)
+    for order, row in report.depths.items():
+        entry = "  order %d exponents [%s]: depth %%d\n" % (order, fields)
+        lines += [entry % (exponents + (depth,)) for exponents, depth in row.items()]
+    lines[0] = _SCAN_TEXT % (report.scan_bound, report.b1, report.exponent, len(lines) - 1)
+    return "".join(lines)
 
 
 # Density entries are their certificate rows; each template picks the 12 ints
@@ -386,13 +401,14 @@ def _cmd_cover_b1(args: argparse.Namespace) -> int:
     schreier = subgroup_b1(presentation, alpha)
     agree = hironaka.b1 == schreier
     if args.fmt == "json":
-        payload = _COVER_JSON % (
-            "true" if agree else "false",
-            _entries_json(alpha.source_rank, hironaka.contributions),
-            alpha.exponent,
-            hironaka.b1,
-            schreier,
-            alpha.exponent,
+        entry = _json_entry(alpha.source_rank)
+        payload = _json_with_entries(
+            _COVER_JSON_HEAD % ("true" if agree else "false"),
+            [
+                entry % ((e.depth,) + e.character.exponents + (e.character.modulus,))
+                for e in hironaka.contributions
+            ],
+            _COVER_JSON_TAIL % (alpha.exponent, hironaka.b1, schreier, alpha.exponent),
         )
     else:
         payload = (

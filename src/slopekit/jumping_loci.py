@@ -28,17 +28,19 @@ Scanning all characters of order up to a bound N yields the finite sets
 
     W_i = { xi | h^1(G; C_xi) >= i },
 
-recorded as (character, depth) pairs, together with the exponent (lcm of the
-orders occurring in W_1).  h^1 is constant on Galois orbits, xi ~ xi^u for u
-a unit mod m, so a scan evaluates one member of each orbit, the first it
-reaches, and answers the other phi(m) - 1 from a table of pending conjugates
-that it keeps for the modulus being scanned.  Two consumers are built on top:
+recorded in one table, order m -> {exponents: depth}, together with the
+exponent (lcm of the orders occurring in W_1); (character, depth) entries
+are built from the table only when a caller reads them.  h^1 is constant on
+Galois orbits, xi ~ xi^u for u a unit mod m, so a scan evaluates one member
+of each orbit, the first it reaches, and answers the other phi(m) - 1 from a
+table of pending conjugates that it keeps for the modulus being scanned.
+Two consumers are built on top:
 
 * Hironaka's formula for the first Betti number of the finite abelian cover
   attached to an epimorphism alpha: G -> S, summed over the dual group of S:
   b_1(ker alpha) = b_1(G) + sum over chi in S^ - 1 of h^1(chi o alpha).
   Each chi o alpha is put in canonical form and looked up in the report's
-  sorted entries; one that is not listed has h^1 = 0.
+  table; one that is not listed has h^1 = 0.
 * the coprime cover selector: when gcd(d, exponent) = 1, no nontrivial
   jumping character can factor through a cyclic quotient of order d, so the
   cover keeps b_1(G) - certified by the report, with no subgroup rewriting.
@@ -52,10 +54,10 @@ from __future__ import annotations
 
 import itertools
 import operator
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .covers import AbelianEpimorphism
@@ -186,6 +188,14 @@ def _reduce_mod_cyclotomic(modulus: int, vec: list[int]) -> list[int]:
 # Torsion characters
 
 
+def _json_int(value: object) -> int:
+    """An int read from JSON.  operator.index takes true and false as 1 and
+    0, but a JSON boolean is not a number, so it is refused like a string."""
+    if isinstance(value, bool):
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return operator.index(value)
+
+
 @dataclass(frozen=True, slots=True)
 class TorsionCharacter:
     """A finite-order character of Z^b, in canonical (exact-order) form.
@@ -219,7 +229,7 @@ class TorsionCharacter:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "TorsionCharacter":
-        return cls(data["modulus"], tuple(data["exponents"]))
+        return cls(_json_int(data["modulus"]), tuple(map(_json_int, data["exponents"])))
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +437,8 @@ class _Evaluator:
     (surface groups, relators that are products of commutators) the shifts
     are a lookup, ``pick``, an itemgetter over the basis indices; any other
     image keeps the dot product.  Reached through _evaluator, so a scan
-    shares one evaluator across all its characters.
+    shares one evaluator across all its characters; while the scan runs,
+    twisted_h1 finds it in the module slot ``_scanning`` instead.
 
     The F_p walk reads the steps as ``segments``, one tuple of
     (steps, column) pairs per relator.  With one relator and g >= 2 the
@@ -440,13 +451,19 @@ class _Evaluator:
     Galois conjugates for one modulus m: ``conjugate_modulus`` is m (0 when
     no table is open), ``conjugate_units`` are the units u != 1 mod m, and
     ``conjugates`` maps the exponents of each conjugate not yet reached to
-    its h^1 (see scan_jumping_loci).  A table belongs to the one scan
-    running, so two threads must not scan one presentation at once.
+    its h^1 (see scan_jumping_loci).  At rank >= 2 ``conjugate_tables``
+    holds one multiplication table x -> u * x mod m per unit, so that a
+    representative writes each conjugate key with one itemgetter call; a
+    modulus has at least m * phi(m) characters of such a rank, so the
+    tables never cost more than the scan of m itself.  At rank 1 a modulus
+    has one orbit, and its keys are written from the units.  A table
+    belongs to the one scan running, so two threads must not scan one
+    presentation at once.
     """
 
     __slots__ = (
         "presentation", "rank", "images", "pick", "steps", "segments", "generator_count", "bound",
-        "conjugate_modulus", "conjugate_units", "conjugates",
+        "conjugate_modulus", "conjugate_units", "conjugate_tables", "conjugates",
     )
 
     def __init__(self, presentation: GroupPresentation):
@@ -473,20 +490,29 @@ class _Evaluator:
         units other than 1 are ``units``."""
         self.conjugate_modulus = m
         self.conjugate_units = units
+        self.conjugate_tables = (
+            [tuple([u * x % m for x in range(m)]) for u in units] if self.rank > 1 else ()
+        )
         self.conjugates = {}
 
     def close_conjugates(self) -> None:
         self.conjugate_modulus = 0
-        self.conjugate_units = ()
+        self.conjugate_units = self.conjugate_tables = ()
         self.conjugates = None
 
     def representative_h1(self, character: TorsionCharacter) -> int:
         """h1 at the first member of a Galois orbit that a scan reaches,
         stored in the open table under each of its other members."""
         h1 = self.h1(character)
-        exps, m, conjugates = character.exponents, self.conjugate_modulus, self.conjugates
-        for u in self.conjugate_units:
-            conjugates[tuple([u * x % m for x in exps])] = h1
+        exps, conjugates = character.exponents, self.conjugates
+        if len(exps) > 1:
+            pick = operator.itemgetter(*exps)
+            for table in self.conjugate_tables:
+                conjugates[pick(table)] = h1
+        else:
+            m = self.conjugate_modulus
+            for u in self.conjugate_units:
+                conjugates[(u * exps[0] % m,)] = h1
         return h1
 
     def shifts(self, character: TorsionCharacter) -> Sequence[int]:
@@ -540,6 +566,12 @@ def _evaluator(presentation: GroupPresentation) -> _Evaluator:
     return _Evaluator(presentation)
 
 
+# The evaluator of the scan running, or None: twisted_h1 reaches its table of
+# pending conjugates by one identity check on the presentation, without the
+# _evaluator cache lookup, whose GroupPresentation.__hash__ is Python code.
+_scanning: _Evaluator | None = None
+
+
 def twisted_h1(presentation: GroupPresentation, character: TorsionCharacter) -> int:
     """Dimension of the first twisted cohomology h^1(G; C_xi).
 
@@ -563,18 +595,24 @@ def twisted_h1(presentation: GroupPresentation, character: TorsionCharacter) -> 
     A(xi) over Z[zeta_m].
 
     h^1(xi^u) = h^1(xi) for every unit u mod m, since A(xi^u) is the Galois
-    conjugate of A(xi).  Inside scan_jumping_loci a character of the
-    modulus being scanned is first looked up in the scan's table of pending
-    conjugates, which answers every member of an orbit after the first;
-    any other call evaluates the character itself and stores nothing.
+    conjugate of A(xi).  While scan_jumping_loci runs, a call on the very
+    presentation object it scans, with a character of the modulus being
+    scanned, is first looked up in the scan's table of pending conjugates,
+    which answers every member of an orbit after the first.  Any other call
+    - outside a scan, on another presentation (also an equal one), or at
+    another modulus - evaluates the character itself and stores nothing.
     """
-    evaluator = _evaluator(presentation)
-    if character.modulus == evaluator.conjugate_modulus:
+    evaluator = _scanning
+    if (
+        evaluator is not None
+        and presentation is evaluator.presentation
+        and character.modulus == evaluator.conjugate_modulus
+    ):
         h1 = evaluator.conjugates.pop(character.exponents, None)
-        if h1 is not None:
-            return h1
-        return evaluator.representative_h1(character)
-    return evaluator.h1(character)
+        if h1 is None:
+            h1 = evaluator.representative_h1(character)
+        return h1
+    return _evaluator(presentation).h1(character)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +633,7 @@ class JumpEntry:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "JumpEntry":
-        return cls(TorsionCharacter.from_json_dict(data), operator.index(data["depth"]))
+        return cls(TorsionCharacter.from_json_dict(data), _json_int(data["depth"]))
 
 
 def _entry_key(entry: JumpEntry) -> tuple[int, tuple[int, ...]]:
@@ -604,37 +642,61 @@ def _entry_key(entry: JumpEntry) -> tuple[int, tuple[int, ...]]:
     return character.modulus, character.exponents
 
 
-@dataclass(frozen=True)
+# The slots of the frozen value classes, written through their member
+# descriptors: a scan builds its characters, and a report its entries,
+# already canonical, so they skip __post_init__ and the frozen __setattr__.
+_set_modulus = TorsionCharacter.modulus.__set__
+_set_exponents = TorsionCharacter.exponents.__set__
+_set_character = JumpEntry.character.__set__
+_set_depth = JumpEntry.depth.__set__
+
+
+def _jump_entry(order: int, exponents: tuple[int, ...], depth: int) -> JumpEntry:
+    """The JumpEntry of a canonical (order, exponents) key and its depth."""
+    new = object.__new__
+    xi = new(TorsionCharacter)
+    _set_modulus(xi, order)
+    _set_exponents(xi, exponents)
+    entry = new(JumpEntry)
+    _set_character(entry, xi)
+    _set_depth(entry, depth)
+    return entry
+
+
 class JumpingLocusReport:
     """Finite description of the W_i: nontrivial entries plus b_1.
 
     The trivial character is not listed among the entries; it sits in W_i
-    exactly for i <= b1, an int >= 0.  ``scan_bound`` records the order bound of the scan
-    that produced the report, an int >= 1, and no entry may exceed it; None
-    marks a report asserted complete on other grounds (fixtures), which is
-    never produced by a scan.  ``exponent`` is derived: the lcm of the entry
-    orders.  No character may be listed twice.
+    exactly for i <= b1, an int >= 0.  ``scan_bound`` records the order
+    bound of the scan that produced the report, an int >= 1, and no entry
+    may exceed it; None marks a report asserted complete on other grounds
+    (fixtures), which is never produced by a scan.  ``exponent`` is
+    derived: the lcm of the entry orders.  No character may be listed twice.
+
+    The jumps are stored as one table, ``depths``: order m -> {exponents:
+    depth}, the orders ascending, the exponents of each order ascending, and
+    only orders with a jump listed; both levels are read-only mappings.  A
+    scan fills the table itself.  ``entries`` holds the same jumps as
+    canonical JumpEntry values in (order, exponents) order: the tuple given
+    to the constructor (sorted if it did not ascend), or, for a scan, built
+    on first read.  Reports are immutable, and equal when their scan
+    bounds, b1 and tables are.
     """
 
-    scan_bound: int | None
-    b1: int
-    entries: tuple[JumpEntry, ...]
-    exponent: int = field(init=False)
+    __slots__ = ("scan_bound", "b1", "exponent", "depths", "_entries")
 
-    def __post_init__(self) -> None:
-        bound = self.scan_bound
+    def __init__(self, scan_bound: int | None, b1: int, entries: Iterable[JumpEntry]):
+        bound = scan_bound
         if bound is not None:
             bound = operator.index(bound)
             if bound < 1:
                 raise SlopekitError(f"scan bound must be None or >= 1, got {bound}")
-            object.__setattr__(self, "scan_bound", bound)
-        b1 = operator.index(self.b1)
+        b1 = operator.index(b1)
         if b1 < 0:
             raise SlopekitError(f"b1 must be >= 0, got {b1}")
-        object.__setattr__(self, "b1", b1)
-        # A scan lists its entries in (order, exponents) order already; the
-        # check pass notes whether they ascend, and only others are sorted.
-        entries = tuple(self.entries)
+        # The check pass notes whether the entries ascend in (order,
+        # exponents), as a scan's do; only others are sorted.
+        entries = tuple(entries)
         exponent = 1
         ascending = True
         last_order, last_exponents = 1, ()
@@ -664,50 +726,120 @@ class JumpingLocusReport:
                 )
         if not ascending:
             entries = tuple(sorted(entries, key=_entry_key))
-            for before, after in zip(entries, entries[1:]):
-                if _entry_key(before) == _entry_key(after):
-                    order, exponents = _entry_key(after)
-                    raise SlopekitError(f"order {order} exponents {exponents} listed twice")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "exponent", exponent)
+        table = {}
+        row = last_order = None
+        for entry in entries:
+            character = entry.character
+            order, exponents = character.modulus, character.exponents
+            if order != last_order:
+                row = table[order] = {}
+                last_order = order
+            if exponents in row:
+                raise SlopekitError(f"order {order} exponents {exponents} listed twice")
+            row[exponents] = entry.depth
+        self._fill(bound, b1, exponent, table, entries)
+
+    @classmethod
+    def _from_scan(cls, scan_bound: int, b1: int, table: dict) -> "JumpingLocusReport":
+        """The report of a scan's table, canonical by construction: orders
+        from 2 to scan_bound, ascending, each with its jumps (rank-b1
+        canonical exponents, ascending, depth >= 1), and no empty row."""
+        report = object.__new__(cls)
+        report._fill(scan_bound, b1, lcm(*table), table, None)
+        return report
+
+    def _fill(self, scan_bound, b1, exponent, table, entries) -> None:
+        fill = object.__setattr__
+        fill(self, "scan_bound", scan_bound)
+        fill(self, "b1", b1)
+        fill(self, "exponent", exponent)
+        fill(self, "depths", MappingProxyType(
+            {order: MappingProxyType(row) for order, row in table.items()}
+        ))
+        fill(self, "_entries", entries)
+
+    @property
+    def entries(self) -> tuple[JumpEntry, ...]:
+        """The jumps as JumpEntry values, in (order, exponents) order."""
+        entries = self._entries
+        if entries is None:
+            entries = tuple([
+                _jump_entry(order, exponents, depth)
+                for order, row in self.depths.items()
+                for exponents, depth in row.items()
+            ])
+            object.__setattr__(self, "_entries", entries)
+        return entries
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.scan_bound, self.b1, self.depths) == (
+            other.scan_bound, other.b1, other.depths
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.scan_bound, self.b1, self.entries))
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through the constructor, as the slots
+        # refuse assignment and the read-only rows do not pickle
+        return JumpingLocusReport, (self.scan_bound, self.b1, self.entries)
+
+    def __repr__(self) -> str:
+        return (
+            f"JumpingLocusReport(scan_bound={self.scan_bound!r}, b1={self.b1!r}, "
+            f"entries={self.entries!r}, exponent={self.exponent!r})"
+        )
 
     def to_json_dict(self) -> dict:
         return {
             "scan_bound": self.scan_bound,
             "b1": self.b1,
-            "entries": [e.to_json_dict() for e in self.entries],
+            "entries": [
+                {"modulus": order, "exponents": list(exponents), "depth": depth}
+                for order, row in self.depths.items()
+                for exponents, depth in row.items()
+            ],
             "exponent": self.exponent,
         }
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "JumpingLocusReport":
         """The report of ``to_json_dict``; its stated exponent must be the
-        derived one, and its entries closed under the Galois action."""
+        derived one, and its entries closed under the Galois action.  Every
+        integer must be a JSON number: true and false are refused."""
+        bound = data["scan_bound"]
         report = cls(
-            data["scan_bound"],
-            data["b1"],
+            None if bound is None else _json_int(bound),
+            _json_int(data["b1"]),
             tuple(JumpEntry.from_json_dict(e) for e in data["entries"]),
         )
-        if operator.index(data["exponent"]) != report.exponent:
+        if _json_int(data["exponent"]) != report.exponent:
             raise SlopekitError(
                 f"stated exponent {data['exponent']} != lcm of entry orders {report.exponent}"
             )
         # h^1 is constant on Galois orbits, and Hironaka's formula reads every
         # member of one; a scan lists them all, a report from elsewhere must
         # too.  The first member of an orbit checks the whole orbit.
-        depths = {_entry_key(e): e.depth for e in report.entries}
-        checked = set()
-        for key, depth in depths.items():
-            if key in checked:
-                continue
-            m, exponents = key
-            for u in range(2, m):
-                if gcd(u, m) == 1:
-                    conjugate = (m, tuple(u * x % m for x in exponents))
-                    if depths.get(conjugate) != depth:
+        for m, row in report.depths.items():
+            units = [u for u in range(2, m) if gcd(u, m) == 1]
+            checked = set()
+            for exponents, depth in row.items():
+                if exponents in checked:
+                    continue
+                for u in units:
+                    conjugate = tuple([u * x % m for x in exponents])
+                    if row.get(conjugate) != depth:
                         raise SlopekitError(
                             f"order {m} exponents {exponents} of depth {depth} needs its "
-                            f"Galois conjugate {conjugate[1]} at the same depth"
+                            f"Galois conjugate {conjugate} at the same depth"
                         )
                     checked.add(conjugate)
         return report
@@ -724,15 +856,6 @@ def cartwright_steger_report() -> JumpingLocusReport:
     return JumpingLocusReport(scan_bound=None, b1=2, entries=())
 
 
-# The slots of the frozen value classes, written through their member
-# descriptors: a scan builds its characters and entries already canonical,
-# so it skips __post_init__ and the frozen __setattr__.
-_set_modulus = TorsionCharacter.modulus.__set__
-_set_exponents = TorsionCharacter.exponents.__set__
-_set_character = JumpEntry.character.__set__
-_set_depth = JumpEntry.depth.__set__
-
-
 def scan_jumping_loci(presentation: GroupPresentation, max_order: int) -> JumpingLocusReport:
     """Enumerate all torsion characters of order <= max_order and record jumps.
 
@@ -740,49 +863,56 @@ def scan_jumping_loci(presentation: GroupPresentation, max_order: int) -> Jumpin
     exponents in range(m) with gcd 1 with m), in ascending (order,
     exponents) order, and twisted_h1 is called once for each.  The bound is
     mandatory: nothing in the report speaks about characters of larger
-    order.
+    order.  Each jump goes into the report's table as ``row[exps] =
+    depth``, one row per order; no JumpEntry is built until ``entries`` is
+    read.
 
     For each modulus m the scan opens a table of pending Galois conjugates
-    on the presentation's evaluator.  The first member of an orbit
+    on the presentation's evaluator, and names that evaluator in the module
+    slot that twisted_h1 checks first.  The first member of an orbit
     {u * e mod m : u a unit} that the scan reaches is its lexicographically
     smallest; it is evaluated in full, and its h^1 is stored under its
     phi(m) - 1 other members, each answered later by one dict pop.  So the
     F_p certificate, and any exact Z[zeta_m] elimination, runs once per
-    orbit.  The table drains by the end of each modulus and is dropped when
-    the scan ends, also when it raises.  At a prime m every nonzero
-    exponent vector is canonical, and no gcd is taken.
+    orbit.  The table drains by the end of each modulus; it and the slot
+    are dropped when the scan ends, also when it raises.  At a prime m every
+    nonzero exponent vector is canonical, and no gcd is taken.
     """
+    global _scanning
+    max_order = operator.index(max_order)
     if max_order < 1:
         raise ValueError("scan bound must be >= 1")
-    # The cached evaluator's own presentation, so that every twisted_h1 lookup
-    # hits its cache by identity even when the caller passed an equal twin.
+    # The cached evaluator's own presentation, so that every twisted_h1 call
+    # passes the slot's identity check even when the caller passed an equal twin.
     evaluator = _evaluator(presentation)
     group, rank = evaluator.presentation, evaluator.rank
-    entries = []
+    table = {}
     new, set_modulus, set_exponents = object.__new__, _set_modulus, _set_exponents
-    set_character, set_depth = _set_character, _set_depth
+    previous, _scanning = _scanning, evaluator
     try:
         for m in range(2, max_order + 1):
             units = [u for u in range(2, m) if gcd(u, m) == 1]
             evaluator.open_conjugates(m, units)
+            composite = len(units) < m - 2
             vectors = itertools.product(range(m), repeat=rank)
-            if len(units) == m - 2:  # m is prime: skip only the zero vector
-                vectors = itertools.islice(vectors, 1, None)
-            else:
-                vectors = (exps for exps in vectors if gcd(m, *exps) == 1)
+            if not composite:
+                next(vectors)  # m is prime: only the zero vector is not canonical
+            row = {}
             for exps in vectors:
+                if composite and gcd(m, *exps) != 1:
+                    continue
                 xi = new(TorsionCharacter)
                 set_modulus(xi, m)
                 set_exponents(xi, exps)
                 depth = twisted_h1(group, xi)
                 if depth >= 1:
-                    entry = new(JumpEntry)
-                    set_character(entry, xi)
-                    set_depth(entry, depth)
-                    entries.append(entry)
+                    row[exps] = depth
+            if row:
+                table[m] = row
     finally:
+        _scanning = previous
         evaluator.close_conjugates()
-    return JumpingLocusReport(max_order, rank, tuple(entries))
+    return JumpingLocusReport._from_scan(max_order, rank, table)
 
 
 # ---------------------------------------------------------------------------
@@ -809,13 +939,15 @@ def hironaka_b1(report: JumpingLocusReport, alpha: AbelianEpimorphism) -> CoverB
     characters of S are the chi_c, c in S, with chi_c(s) = zeta_E **
     sum_j c_j s_j E/n_j for E the exponent of S; chi_c o alpha sends the
     i-th basis vector to zeta_E ** sum_j c_j A_ji E/n_j.  Each nontrivial c
-    is put in canonical form with one gcd and looked up by bisection in the
-    report's sorted entries; a character that is not there has h^1 = 0.
+    is put in canonical form with one gcd and looked up in the report's
+    table, ``depths[m].get(exponents)``; a character that is not there has
+    h^1 = 0.  The exponent vectors are running sums over the product of the
+    per-factor tables of c_j A_j E/n_j, reduced mod E, one tuple per c.
     Since alpha is onto, distinct c give distinct characters, so every
     entry that factors through alpha is found exactly once.  The
-    contributions come back in report order.  A character factoring
-    through alpha has order dividing E, so a report scanned below E may
-    miss one and is refused.
+    contributions come back in report order, the only JumpEntry values
+    built.  A character factoring through alpha has order dividing E, so a
+    report scanned below E may miss one and is refused.
     """
     if report.b1 != alpha.source_rank:
         raise CharacterDomainError(
@@ -826,27 +958,31 @@ def hironaka_b1(report: JumpingLocusReport, alpha: AbelianEpimorphism) -> CoverB
             f"scan bound {report.scan_bound} is below the deck group exponent "
             f"{alpha.exponent}; rescan to order {alpha.exponent}"
         )
-    entries = report.entries
+    depths = report.depths
     found = []
-    if entries:  # nothing to look up, as for a trivial-loci fixture
+    if depths:  # nothing to look up, as for a trivial-loci fixture
         exponent = alpha.exponent
-        # per factor j, the exponent vector of chi_c o alpha for each c_j
-        tables = [
-            [[c * a * (exponent // n) for a in row] for c in range(n)]
-            for row, n in zip(alpha.matrix, alpha.factors)
-        ]
-        for vectors in itertools.product(*tables):
-            exps = [x % exponent for x in map(sum, zip(*vectors))]
+        # the exponent vector of chi_c o alpha for each c, summed factor by factor
+        sums = [(0,) * alpha.source_rank]
+        for row, n in zip(alpha.matrix, alpha.factors):
+            step = exponent // n
+            terms = [[c * a * step % exponent for a in row] for c in range(n)]
+            sums = [tuple([(x + y) % exponent for x, y in zip(s, t)]) for s in sums for t in terms]
+        for exps in sums:
             g = gcd(exponent, *exps)
             if g == exponent:
                 continue  # c = 0, the trivial character
-            key = (exponent // g, tuple(x // g for x in exps))
-            i = bisect_left(entries, key, key=_entry_key)
-            if i < len(entries) and _entry_key(entries[i]) == key:
-                found.append(i)
+            order = exponent // g
+            jumps = depths.get(order)
+            if jumps is not None:
+                if g > 1:
+                    exps = tuple([x // g for x in exps])
+                depth = jumps.get(exps)
+                if depth is not None:
+                    found.append((order, exps, depth))
         found.sort()
-    contributions = tuple(entries[i] for i in found)
-    return CoverB1Result(report.b1 + sum(e.depth for e in contributions), contributions)
+    contributions = tuple([_jump_entry(order, exps, depth) for order, exps, depth in found])
+    return CoverB1Result(report.b1 + sum(depth for _, _, depth in found), contributions)
 
 
 @dataclass(frozen=True)
@@ -889,5 +1025,5 @@ def coprime_cover_b1(
     result = hironaka_b1(report, AbelianEpimorphism.cyclic(order, weights))
     if gcd(order, report.exponent) != 1:
         return CoprimeCoverResult(result.b1, None, result)
-    orders = tuple(e.character.order for e in report.entries)
+    orders = tuple([order for order, jumps in report.depths.items() for _ in jumps])
     return CoprimeCoverResult(result.b1, CoprimeCertificate(report.exponent, orders), None)

@@ -1,19 +1,25 @@
 """Cyclotomic arithmetic, twisted h^1, scans, Hironaka, coprime covers."""
 
+import copy
 import dataclasses
+import gc
 import itertools
 import json
+import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
 
 from slopekit import jumping_loci
+from slopekit.cli import _json_text, _scan_json
 from slopekit.covers import AbelianEpimorphism, subgroup_b1
 from slopekit.errors import SlopekitError
 from slopekit.group_core import (
     GroupPresentation,
+    abelianization,
     alexander_matrix,
     cyclic_group,
     free_abelianization,
@@ -759,6 +765,129 @@ def test_a_direct_twisted_h1_call_stores_no_conjugates():
     assert evaluator.conjugates is None and evaluator.conjugate_modulus == 0
 
 
+def _groups_of_free_rank_up_to_four(st):
+    """Random groups with one to three relators on 1-4 generators: free
+    ranks 0-4, some with torsion in H1, and a scan bound up to 8 (up to 5
+    and 4 at ranks 3 and 4, which keeps the exact eliminations few)."""
+
+    @st.composite
+    def groups(draw):
+        gens = draw(st.integers(1, 4))
+        letters = st.integers(1, gens).flatmap(lambda i: st.sampled_from((i, -i)))
+        words = []
+        for _ in range(draw(st.integers(1, 3))):
+            word = draw(st.lists(letters, min_size=1, max_size=8))
+            kind = draw(st.sampled_from(("random", "balanced", "torsion")))
+            if kind != "random":
+                # exponent sums 0: the relator leaves the free rank alone
+                word += [-x for x in draw(st.permutations(word))]
+            if kind == "torsion":
+                word = [draw(st.integers(1, gens))] * draw(st.integers(2, 3)) + word
+            words.append(word)
+        presentation = GroupPresentation(gens, tuple(tuple(w) for w in words))
+        rank = free_abelianization(presentation).rank
+        return presentation, draw(st.integers(2, (8, 8, 8, 5, 4)[rank]))
+
+    return groups()
+
+
+def test_scan_table_matches_per_character_calls_and_renders_like_its_dict():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    ranks, torsion = set(), []
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
+    @hypothesis.given(_groups_of_free_rank_up_to_four(st))
+    def check(case):
+        presentation, bound = case
+        report = scan_jumping_loci(presentation, bound)
+        b1 = report.b1
+        ranks.add(b1)
+        torsion.append(bool(abelianization(presentation).torsion_coefficients))
+        # every check of the constructor holds on the table
+        assert list(report.depths) == sorted(report.depths)
+        for m, row in report.depths.items():
+            assert 2 <= m <= bound and row and list(row) == sorted(row)
+            assert all(len(e) == b1 and max(e) < m and gcd(m, *e) == 1 for e in row)
+            assert min(row.values()) >= 1
+        # the same report from twisted_h1 calls outside a scan
+        entries = []
+        for xi in enumerate_characters(b1, bound):
+            depth = twisted_h1(presentation, xi)
+            if depth >= 1:
+                entries.append(JumpEntry(xi, depth))
+        public = JumpingLocusReport(bound, b1, tuple(entries))
+        assert report == public and report.exponent == public.exponent
+        # the entries view: canonical values, equal to the constructor's
+        assert report.entries == public.entries
+        for entry in report.entries:
+            assert type(entry) is JumpEntry and type(entry.character) is TorsionCharacter
+            xi = entry.character
+            built = JumpEntry(TorsionCharacter(xi.modulus, xi.exponents), entry.depth)
+            assert entry == built and hash(entry) == hash(built)
+        assert _scan_json(report) == _json_text(report.to_json_dict())
+
+    check()
+    assert ranks == {0, 1, 2, 3, 4} and any(torsion) and not all(torsion)
+
+
+def test_scan_report_memory():
+    # A TorsionCharacter and a JumpEntry per jump held 1.41 MiB here; the
+    # table holds the exponent tuples and one dict per order.
+    group = surface_group(2)
+    scan_jumping_loci(group, 8)  # the evaluator and the F_p root tables, warm
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        report = scan_jumping_loci(group, 8)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, report.depths.values())) == 8399
+    assert held - before < 1.1 * 2**20, held - before
+
+
+def test_a_foreign_twisted_h1_call_inside_a_scan_evaluates_in_full(monkeypatch):
+    genus2 = surface_group(2)
+    twin = GroupPresentation(4, ((1, 2, -1, -2, 3, 4, -3, -4),))
+    trefoil = trefoil_group()
+    scanning, other = jumping_loci._evaluator(genus2), jumping_loci._evaluator(trefoil)
+    # an equal twin shares the scanning evaluator, but not the identity check
+    assert jumping_loci._evaluator(twin) is scanning
+    # at the modulus being scanned: an order-6 character of genus 2 that is
+    # pending when the call is made, one not reached yet, and one of the trefoil
+    calls = [
+        (twin, TorsionCharacter(6, (5, 0, 0, 0))),
+        (twin, TorsionCharacter(6, (1, 5, 5, 5))),
+        (trefoil, TorsionCharacter(6, (1,))),
+        (trefoil, TorsionCharacter(5, (2,))),
+    ]
+    expected = [jumping_loci._Evaluator(p).h1(xi) for p, xi in calls]
+    assert expected == [2, 2, 1, 0]
+    original = jumping_loci.twisted_h1
+    answered = []
+
+    def wrapped(group, xi):
+        depth = original(group, xi)
+        if xi.modulus == 6 and xi.exponents == (1, 2, 0, 0):
+            assert jumping_loci._scanning is scanning
+            assert scanning.conjugates.get((5, 0, 0, 0)) == 2
+            pending = dict(scanning.conjugates)
+            answered.extend(original(p, character) for p, character in calls)
+            assert scanning.conjugates == pending and scanning.conjugate_modulus == 6
+            assert other.conjugates is None and other.conjugate_modulus == 0
+        return depth
+
+    monkeypatch.setattr(jumping_loci, "twisted_h1", wrapped)
+    report = scan_jumping_loci(genus2, 6)
+    monkeypatch.undo()
+    assert answered == expected
+    assert report == scan_jumping_loci(genus2, 6)
+    assert jumping_loci._scanning is None
+    assert scanning.conjugates is None and scanning.conjugate_modulus == 0
+
+
 def test_twisted_h1_alternating_presentations_matches_fresh_evaluation():
     genus2 = surface_group(2)
     twin = GroupPresentation(4, ((1, 2, -1, -2, 3, 4, -3, -4),))
@@ -943,6 +1072,53 @@ def test_report_rejects_entries_of_another_rank():
     data["b1"] = 2
     with pytest.raises(CharacterDomainError, match="rank 3 does not match b1 2"):
         JumpingLocusReport.from_json_dict(data)
+
+
+def test_report_from_json_refuses_booleans():
+    # operator.index reads true and false as 1 and 0; JSON booleans are not numbers
+    empty = {"scan_bound": 1, "b1": 0, "entries": [], "exponent": 1}
+    assert JumpingLocusReport.from_json_dict(empty) == JumpingLocusReport(1, 0, ())
+    entry = {"modulus": 2, "exponents": [1, 0], "depth": 1}
+    data = {"scan_bound": 2, "b1": 2, "entries": [entry], "exponent": 2}
+    report = JumpingLocusReport.from_json_dict(data)
+    assert report.entries == (JumpEntry(TorsionCharacter(2, (1, 0)), 1),)
+    refused = [
+        {**empty, "scan_bound": True},
+        {**empty, "b1": False},
+        {**empty, "exponent": True},
+        {**data, "entries": [{"modulus": 2, "exponents": [True, False], "depth": True}]},
+        {**data, "entries": [{**entry, "modulus": True}]},
+        {**data, "entries": [{**entry, "exponents": [1, False]}]},
+        {**data, "entries": [{**entry, "depth": True}]},
+    ]
+    for bad in refused:
+        with pytest.raises(TypeError, match="'bool' object cannot be interpreted as an integer"):
+            JumpingLocusReport.from_json_dict(bad)
+    with pytest.raises(TypeError, match="'bool'"):
+        JumpEntry.from_json_dict({**entry, "depth": True})
+    with pytest.raises(TypeError, match="'bool'"):
+        TorsionCharacter.from_json_dict({**entry, "exponents": [True, 0]})
+
+
+def test_report_table_is_read_only_and_entries_are_built_once():
+    report = scan_jumping_loci(trefoil_group(), 12)
+    assert dict(report.depths) == {6: {(1,): 1, (5,): 1}}
+    for name, value in (("b1", 3), ("depths", {}), ("exponent", 1), ("entries", ())):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(report, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(report, name)
+    with pytest.raises(TypeError):
+        report.depths[7] = {(1,): 1}
+    with pytest.raises(TypeError):
+        report.depths[6][(1,)] = 2
+    assert report.entries is report.entries
+    public = JumpingLocusReport(12, 1, report.entries)
+    assert public == report and hash(public) == hash(report)
+    for again in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+        assert again == report and again.entries == report.entries
+    assert report != JumpingLocusReport(12, 1, report.entries[:1])
+    assert report != JumpingLocusReport(13, 1, report.entries)
 
 
 # ---------------------------------------------------------------------------
