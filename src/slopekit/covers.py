@@ -144,16 +144,14 @@ class AbelianEpimorphism:
 def _generator_shifts(
     presentation: GroupPresentation, alpha: AbelianEpimorphism
 ) -> list[tuple[int, ...]]:
-    """Image in S of each generator, via the free abelianization."""
+    """Image in S of each generator, via the free abelianization, whose
+    rank must be alpha's source rank, as for Hironaka's formula."""
     fa = free_abelianization(presentation)
-    if fa.rank < alpha.source_rank:
+    if fa.rank != alpha.source_rank:
         raise NotAnEpimorphismError(
-            f"epimorphism needs free rank >= {alpha.source_rank}, group has {fa.rank}"
+            f"epimorphism needs free rank {alpha.source_rank}, group has {fa.rank}"
         )
-    return [
-        alpha.apply(fa.generator_images[i][: alpha.source_rank])
-        for i in range(presentation.generator_count)
-    ]
+    return [alpha.apply(image) for image in fa.generator_images]
 
 
 def coset_action(

@@ -29,12 +29,12 @@ Scanning all characters of order up to a bound N yields the finite sets
     W_i = { xi | h^1(G; C_xi) >= i },
 
 recorded in one table, order m -> {exponents: depth}, together with the
-exponent (lcm of the orders occurring in W_1); (character, depth) entries
-are built from the table only when a caller reads them.  h^1 is constant on
-Galois orbits, xi ~ xi^u for u a unit mod m, so a scan evaluates one member
-of each orbit, the first it reaches, and answers the other phi(m) - 1 from a
-table of pending conjugates that it keeps for the modulus being scanned.
-Two consumers are built on top:
+exponent (lcm of the orders occurring in W_1).  The table is the only
+store; (character, depth) entries are a view built from it on first read.
+h^1 is constant on Galois orbits, xi ~ xi^u for u a unit mod m, so a scan
+evaluates one member of each orbit, the first it reaches, and answers the
+other phi(m) - 1 from a table of pending conjugates that it keeps for the
+modulus being scanned.  Two consumers are built on top:
 
 * Hironaka's formula for the first Betti number of the finite abelian cover
   attached to an epimorphism alpha: G -> S, summed over the dual group of S:
@@ -626,20 +626,9 @@ class JumpEntry:
     character: TorsionCharacter
     depth: int
 
-    def to_json_dict(self) -> dict:
-        d = self.character.to_json_dict()
-        d["depth"] = self.depth
-        return d
-
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "JumpEntry":
         return cls(TorsionCharacter.from_json_dict(data), _json_int(data["depth"]))
-
-
-def _entry_key(entry: JumpEntry) -> tuple[int, tuple[int, ...]]:
-    """The (order, exponents) order in which a report keeps its entries."""
-    character = entry.character
-    return character.modulus, character.exponents
 
 
 # The slots of the frozen value classes, written through their member
@@ -676,11 +665,11 @@ class JumpingLocusReport:
     The jumps are stored as one table, ``depths``: order m -> {exponents:
     depth}, the orders ascending, the exponents of each order ascending, and
     only orders with a jump listed; both levels are read-only mappings.  A
-    scan fills the table itself.  ``entries`` holds the same jumps as
-    canonical JumpEntry values in (order, exponents) order: the tuple given
-    to the constructor (sorted if it did not ascend), or, for a scan, built
-    on first read.  Reports are immutable, and equal when their scan
-    bounds, b1 and tables are.
+    scan fills the table itself; the constructor validates each entry into
+    it in one pass, then sorts it once.  ``entries`` is a view of the table:
+    canonical JumpEntry values in (order, exponents) order, built on first
+    read.  Reports are immutable, equal when their scan bounds, b1 and
+    tables are, and hashed from the tables alone.
     """
 
     __slots__ = ("scan_bound", "b1", "exponent", "depths", "_entries")
@@ -694,50 +683,27 @@ class JumpingLocusReport:
         b1 = operator.index(b1)
         if b1 < 0:
             raise SlopekitError(f"b1 must be >= 0, got {b1}")
-        # The check pass notes whether the entries ascend in (order,
-        # exponents), as a scan's do; only others are sorted.
-        entries = tuple(entries)
-        exponent = 1
-        ascending = True
-        last_order, last_exponents = 1, ()
+        table = {}
         for entry in entries:
             character = entry.character
-            order = character.modulus
-            exponents = character.exponents
-            if order != last_order:
-                ascending = ascending and order > last_order
-                exponent = lcm(exponent, order)
-                last_order = order
-            elif exponents <= last_exponents:
-                if exponents == last_exponents:
-                    raise SlopekitError(f"order {order} exponents {exponents} listed twice")
-                ascending = False
-            last_exponents = exponents
+            order, exponents = character.modulus, character.exponents
             if order == 1:
                 raise SlopekitError("the trivial character is tracked by b1, not by entries")
             if bound is not None and order > bound:
                 raise SlopekitError(f"entry of order {order} exceeds the scan bound {bound}")
             if entry.depth < 1:
                 raise SlopekitError("entries must have depth >= 1")
-            rank = len(exponents)
-            if rank != b1:
+            if len(exponents) != b1:
                 raise CharacterDomainError(
-                    f"entry character rank {rank} does not match b1 {b1}"
+                    f"entry character rank {len(exponents)} does not match b1 {b1}"
                 )
-        if not ascending:
-            entries = tuple(sorted(entries, key=_entry_key))
-        table = {}
-        row = last_order = None
-        for entry in entries:
-            character = entry.character
-            order, exponents = character.modulus, character.exponents
-            if order != last_order:
-                row = table[order] = {}
-                last_order = order
+            row = table.setdefault(order, {})
             if exponents in row:
                 raise SlopekitError(f"order {order} exponents {exponents} listed twice")
             row[exponents] = entry.depth
-        self._fill(bound, b1, exponent, table, entries)
+        self._fill(bound, b1, {
+            order: dict(sorted(table[order].items())) for order in sorted(table)
+        })
 
     @classmethod
     def _from_scan(cls, scan_bound: int, b1: int, table: dict) -> "JumpingLocusReport":
@@ -745,18 +711,18 @@ class JumpingLocusReport:
         from 2 to scan_bound, ascending, each with its jumps (rank-b1
         canonical exponents, ascending, depth >= 1), and no empty row."""
         report = object.__new__(cls)
-        report._fill(scan_bound, b1, lcm(*table), table, None)
+        report._fill(scan_bound, b1, table)
         return report
 
-    def _fill(self, scan_bound, b1, exponent, table, entries) -> None:
+    def _fill(self, scan_bound, b1, table) -> None:
         fill = object.__setattr__
         fill(self, "scan_bound", scan_bound)
         fill(self, "b1", b1)
-        fill(self, "exponent", exponent)
+        fill(self, "exponent", lcm(1, *table))
         fill(self, "depths", MappingProxyType(
             {order: MappingProxyType(row) for order, row in table.items()}
         ))
-        fill(self, "_entries", entries)
+        fill(self, "_entries", None)
 
     @property
     def entries(self) -> tuple[JumpEntry, ...]:
@@ -785,7 +751,9 @@ class JumpingLocusReport:
         )
 
     def __hash__(self) -> int:
-        return hash((self.scan_bound, self.b1, self.entries))
+        return hash((self.scan_bound, self.b1, tuple([
+            (order, tuple(row.items())) for order, row in self.depths.items()
+        ])))
 
     def __reduce__(self) -> tuple:
         # copy and pickle rebuild through the constructor, as the slots
@@ -819,7 +787,7 @@ class JumpingLocusReport:
         report = cls(
             None if bound is None else _json_int(bound),
             _json_int(data["b1"]),
-            tuple(JumpEntry.from_json_dict(e) for e in data["entries"]),
+            (JumpEntry.from_json_dict(e) for e in data["entries"]),
         )
         if _json_int(data["exponent"]) != report.exponent:
             raise SlopekitError(

@@ -3,8 +3,9 @@
 Two constructions are composed: an unramified cyclic cover of degree d, which
 multiplies K^2 and chi and takes its irregularity from the group-theoretic
 layer, and a double cover branched along 2k fibers of the induced genus-g_F
-fibration.  Noether's identity chi = 1 - q + p_g is a constructor invariant,
-so every value that exists is internally consistent.  Only integers and
+fibration over a base curve of genus b, whose q and p_g read both q and b.
+Noether's identity chi = 1 - q + p_g is a constructor invariant, so every
+value that exists is internally consistent.  Only integers and
 exact rationals appear.
 """
 
@@ -59,7 +60,7 @@ class SurfaceInvariants:
 
 @dataclass(frozen=True)
 class FibrationProfile:
-    """The fibration carrying the branch fibers; fiber genus >= 2."""
+    """The fibration carrying the branch fibers; fiber genus >= 2, base >= 0."""
 
     fiber_genus: int
     base_genus: int
@@ -67,6 +68,8 @@ class FibrationProfile:
     def __post_init__(self) -> None:
         if self.fiber_genus < 2:
             raise SlopekitError("fiber genus must be >= 2")
+        if self.base_genus < 0:
+            raise SlopekitError("base genus must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,27 +126,30 @@ def cyclic_cover_invariants(base: SurfaceInvariants, d: int, q_cover: int) -> Su
 
 
 def branched_double_cover_invariants(
-    cover: SurfaceInvariants, k: int, fiber_genus: int
+    cover: SurfaceInvariants, k: int, fibration: FibrationProfile
 ) -> SurfaceInvariants:
     """Invariants of the double cover branched along 2k smooth fibers.
 
-    With branch divisor B = 2kF, F^2 = 0 and K.F = 2g_F - 2 by adjunction:
+    The fibration f: Y -> B has fibers of genus g_F over a base of genus b.
+    With branch divisor 2L, L = kF, F^2 = 0 and K.F = 2g_F - 2 by
+    adjunction, the double cover formulas (Barth-Hulek-Peters-Van de Ven)
+    give q' = q + h^1(Y, -L) and p_g' = p_g + h^0(K + L), and Leray, with
+    f_* omega_{Y/B} nef (Fujita), gives h^1(Y, -L) = k + b - 1:
 
         chi' = 2 chi + k (g_F - 1)
-        p_g' = 2 p_g + k g_F
-        q'   = 2 q + k - 1
+        p_g' = 2 p_g - q + k g_F + b
+        q'   = q + k + b - 1
         K'^2 = 2 K^2 + 4k (2 g_F - 2)
 
     Noether consistency of the output is re-verified as a hard postcondition.
     """
     if k < 1:
         raise SlopekitError("branch parameter k must be >= 1")
-    if fiber_genus < 2:
-        raise SlopekitError("fiber genus must be >= 2")
-    chi = 2 * cover.chi + k * (fiber_genus - 1)
-    pg = 2 * cover.pg + k * fiber_genus
-    q = 2 * cover.q + k - 1
-    k2 = 2 * cover.K2 + 4 * k * (2 * fiber_genus - 2)
+    g, b = fibration.fiber_genus, fibration.base_genus
+    chi = 2 * cover.chi + k * (g - 1)
+    pg = 2 * cover.pg - cover.q + k * g + b
+    q = cover.q + k + b - 1
+    k2 = 2 * cover.K2 + 4 * k * (2 * g - 2)
     try:
         return SurfaceInvariants(K2=k2, chi=chi, q=q, pg=pg)
     except NoetherViolationError as exc:
@@ -173,4 +179,4 @@ def family_invariants(params: FamilyParams) -> SurfaceInvariants:
     along 2k fibers of genus 19."""
     base, fibration = cartwright_steger_profile()
     cover = cyclic_cover_invariants(base, params.d, 1)
-    return branched_double_cover_invariants(cover, params.k, fibration.fiber_genus)
+    return branched_double_cover_invariants(cover, params.k, fibration)

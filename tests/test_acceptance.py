@@ -75,7 +75,7 @@ def test_criterion_1_slope_formula_exact():
             via_formula = family_slope(FamilyParams(d, k), fibration.fiber_genus)
             cover = cyclic_cover_invariants(base, d, 1)
             via_surfaces = slope(
-                branched_double_cover_invariants(cover, k, fibration.fiber_genus)
+                branched_double_cover_invariants(cover, k, fibration)
             )
             assert via_formula == via_surfaces == expected
 

@@ -113,8 +113,16 @@ def test_coset_action_matches_the_element_by_element_table():
 
 
 def test_coset_action_rejects_rank_mismatch():
-    with pytest.raises(NotAnEpimorphismError):
-        coset_action(torus_group(), AbelianEpimorphism.cyclic(2, (1, 0, 0)))
+    # a source rank above the free rank, and one below it, which Hironaka's
+    # formula refuses too: no projection onto the first coordinates
+    for group, alpha in (
+        (torus_group(), AbelianEpimorphism.cyclic(2, (1, 0, 0))),
+        (surface_group(2), AbelianEpimorphism.cyclic(3, (1, 0))),
+    ):
+        with pytest.raises(NotAnEpimorphismError, match="needs free rank"):
+            coset_action(group, alpha)
+        with pytest.raises(NotAnEpimorphismError):
+            subgroup_b1(group, alpha)
 
 
 def test_reidemeister_schreier_free_group():

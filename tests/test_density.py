@@ -84,7 +84,7 @@ def test_family_slope_matches_surface_composition():
     for _ in range(1000):
         d, k = rng.randint(1, 500), rng.randint(1, 500)
         surface = branched_double_cover_invariants(
-            cyclic_cover_invariants(base, d, 1), k, fibration.fiber_genus
+            cyclic_cover_invariants(base, d, 1), k, fibration
         )
         assert family_slope(FamilyParams(d, k), fibration.fiber_genus) == slope(surface)
 

@@ -950,14 +950,75 @@ def test_report_sorts_only_entries_that_do_not_ascend():
     report = scan_jumping_loci(free_group(2), 4)
     entries = report.entries
     assert len(entries) == 23  # every nontrivial character, depth 1
-    # a scan's entries already ascend and are kept as they are
-    assert JumpingLocusReport(4, 2, entries).entries is entries
+    # a scan's entries already ascend, and read back as they are
+    assert JumpingLocusReport(4, 2, entries).entries == entries
     # out of order across orders, and within one order
     first, second = entries[0], entries[1]
     assert first.character.modulus == second.character.modulus
     for shuffled in (entries[::-1], (second, first) + entries[2:]):
         again = JumpingLocusReport(4, 2, shuffled)
         assert again.entries == entries and again == report and again.exponent == 12
+
+
+def test_report_from_entries_in_any_order_is_the_scan_report(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def relator(rank):
+        return st.lists(
+            st.integers(1, rank).flatmap(lambda i: st.sampled_from((i, -i))),
+            min_size=1, max_size=8)
+
+    @st.composite
+    def scans(draw):
+        rank = draw(st.integers(2, 3))
+        relators = draw(st.lists(relator(rank), min_size=1, max_size=2))
+        group = GroupPresentation(rank, tuple(map(tuple, relators)))
+        return group, draw(st.integers(2, 5)), draw(st.randoms(use_true_random=False))
+
+    def table(report):
+        # the order of both levels, which dict equality ignores
+        return [(order, list(row.items())) for order, row in report.depths.items()]
+
+    def refuse(*args):
+        raise AssertionError("a JumpEntry was built")
+
+    seen = set()
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(scans())
+    def check(case):
+        group, bound, rng = case
+        report = scan_jumping_loci(group, bound)
+        hypothesis.assume(report.depths)
+        seen.add(group.relator_count)
+        entries = [
+            JumpEntry(TorsionCharacter(order, exponents), depth)
+            for order, row in report.depths.items() for exponents, depth in row.items()
+        ]
+        data = report.to_json_dict()
+        rng.shuffle(entries)
+        rng.shuffle(data["entries"])
+        with monkeypatch.context() as patch:
+            # neither construction nor hashing reads ``entries``
+            patch.setattr(jumping_loci, "_jump_entry", refuse)
+            digest = hash(report)
+            rebuilt = (
+                JumpingLocusReport(bound, report.b1, entries),
+                JumpingLocusReport.from_json_dict(data),
+            )
+            for again in rebuilt:
+                assert again == report and hash(again) == digest
+                assert table(again) == table(report) and again.exponent == report.exponent
+        for again in rebuilt:
+            assert again.entries == report.entries
+        copy_at = rng.randrange(len(entries) + 1)
+        twice = entries[:copy_at] + [rng.choice(entries)] + entries[copy_at:]
+        with pytest.raises(SlopekitError, match="listed twice"):
+            JumpingLocusReport(bound, report.b1, twice)
+
+    check()
+    assert seen == {1, 2}
 
 
 def test_report_json_roundtrip():

@@ -67,18 +67,38 @@ def test_cyclic_cover_rejects_bad_irregularity():
 
 
 def test_branched_double_cover_examples():
-    base, _ = cartwright_steger_profile()
+    base, fibration = cartwright_steger_profile()
     x1 = cyclic_cover_invariants(base, 1, 1)
-    s11 = branched_double_cover_invariants(x1, 1, 19)
+    s11 = branched_double_cover_invariants(x1, 1, fibration)
     assert s11 == SurfaceInvariants(162, 20, 2, 21)
     assert s11.chi == 1 - s11.q + s11.pg
 
     x2 = cyclic_cover_invariants(base, 2, 1)
-    assert branched_double_cover_invariants(x2, 1, 19) == SurfaceInvariants(180, 22, 2, 23)
+    assert branched_double_cover_invariants(x2, 1, fibration) == SurfaceInvariants(180, 22, 2, 23)
 
-    # q(S) = 2 q + k - 1
-    s13 = branched_double_cover_invariants(x1, 3, 19)
+    # q(S) = q + k + b - 1, with q = b = 1
+    s13 = branched_double_cover_invariants(x1, 3, fibration)
     assert s13.q == 4
+
+
+def _product(b, g):
+    """(K^2, chi, q, p_g) of B x C, g(B) = b and g(C) = g."""
+    chi = (b - 1) * (g - 1)
+    return SurfaceInvariants(8 * chi, chi, b + g, b * g)
+
+
+def test_branched_double_cover_of_a_product():
+    # B x C fibred over B, branched along 2k fibres {t} x C: the cover is
+    # B' x C with g(B') = 2b - 1 + k by Riemann-Hurwitz, and q = b + g(C)
+    # differs from b; E x C with g(C) = 2, (0, 0, 3, 2), covers to
+    # (8k, k, k + 3, 2k + 2)
+    for b in range(4):
+        for g in range(2, 5):
+            for k in range(1, 4):
+                cover = branched_double_cover_invariants(
+                    _product(b, g), k, FibrationProfile(g, b)
+                )
+                assert cover == _product(2 * b - 1 + k, g), (b, g, k)
 
 
 def test_slope_examples():
@@ -102,6 +122,8 @@ def test_fibration_profile_needs_hyperbolic_fiber():
 
     with pytest.raises(SlopekitError):
         FibrationProfile(1, 1)
+    with pytest.raises(SlopekitError, match="base genus must be >= 0"):
+        FibrationProfile(2, -1)
 
 
 def test_family_params_validation():
@@ -126,25 +148,25 @@ def test_noether_holds_for_random_families():
 
 
 def test_slope_identity_matches_displayed_formula():
-    base, _ = cartwright_steger_profile()
+    base, fibration = cartwright_steger_profile()
     for d in (1, 2, 7, 19, 109):
         cover = cyclic_cover_invariants(base, d, 1)
         for k in (1, 2, 5, 12):
-            surface = branched_double_cover_invariants(cover, k, 19)
+            surface = branched_double_cover_invariants(cover, k, fibration)
             assert slope(surface) == 9 - Fraction(18 * k, 2 * d + 18 * k)
 
 
 def test_two_route_chi_identity():
     # chi from the additive formula vs Noether from the q and p_g formulas
-    base, _ = cartwright_steger_profile()
+    base, fibration = cartwright_steger_profile()
     for d in range(1, 30):
         cover = cyclic_cover_invariants(base, d, 1)
         for k in range(1, 30):
             chi_direct = 2 * cover.chi + k * 18
-            q_s = 2 * cover.q + k - 1
-            pg_s = 2 * cover.pg + k * 19
+            q_s = cover.q + k + 1 - 1
+            pg_s = 2 * cover.pg - cover.q + k * 19 + 1
             assert chi_direct == 1 - q_s + pg_s
-            surface = branched_double_cover_invariants(cover, k, 19)
+            surface = branched_double_cover_invariants(cover, k, fibration)
             assert surface.chi == chi_direct
 
 
