@@ -34,7 +34,6 @@ from .density import (
     covering_radius,
     density_certificate,
     family_slope,
-    farey_fractions,
     sequence_params,
 )
 from .errors import SlopekitError

@@ -8,7 +8,9 @@ including unwritable output paths, are emitted to stderr as a single JSON
 object carrying the originating module, with a nonzero exit status.
 
 The argparse parser is the only declaration of each subcommand's flags:
-every subparser names its handler, which reads the parsed namespace.
+every subparser names its handler, which reads the parsed namespace.  A
+command is parsed once, by its subcommand's parser; anything else (no
+arguments, help, an unknown subcommand) goes through the top-level parser.
 """
 
 from __future__ import annotations
@@ -503,7 +505,8 @@ def run(args: argparse.Namespace) -> int:
         return 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, Mapping[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subparsers by name, the one declaration of every flag."""
     parser = argparse.ArgumentParser(
         prog="slopekit",
         description="Exact Betti numbers of abelian covers and slope-dense surface families.",
@@ -557,7 +560,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_de.add_argument("--plot", default=None, help="write an SVG scatter of (n, slope)")
     add_common(p_de, ("csv", "json", "text"), "csv")
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``slopekit`` argument parser, built afresh."""
+    return _build_parsers()[0]
 
 
 # Flag values converted after parsing, so that a bad one is a JSON error (exit 2)
@@ -570,16 +578,31 @@ _CONVERTERS = {
 }
 
 
-# Built on the first main call, not at import, and kept: building it costs
+# Built on the first main call, not at import, and kept: building them costs
 # about a millisecond, as much as a small command itself.
 @lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
+def _parsers() -> tuple[argparse.ArgumentParser, Mapping[str, argparse.ArgumentParser]]:
+    return _build_parsers()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    """Parse argv once and run its subcommand; returns the exit status.
+
+    A command naming a subcommand is parsed by that subcommand's parser
+    alone, and arguments it does not know are refused by the top-level
+    parser as ``parse_args`` would refuse them.  Anything else (no
+    arguments, ``-h``, an unknown subcommand) goes through the top-level
+    parser, so help, usage errors and exit codes are argparse's own.
+    """
+    parser, subparsers = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    subparser = subparsers.get(argv[0]) if argv else None
+    if subparser is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = subparser.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
+        if extras:
+            parser.error("unrecognized arguments: %s" % " ".join(extras))
     if args.subcommand == "scan" and args.max_order < 1:
         parser.error("--max-order must be >= 1")
     if args.subcommand == "cover-b1" and args.epimorphism is not None and args.weights is not None:

@@ -67,7 +67,13 @@ class TargetSlope:
 
 
 def _farey_pairs(max_denominator: int) -> Iterator[tuple[int, int]]:
-    """The (numerator, denominator) pairs that farey_fractions yields, in order."""
+    """The reduced fractions c/d in (0, 1) with d <= max_denominator, as
+    (c, d) pairs in ascending order: the interior of the Farey sequence of
+    that order.
+
+    >>> list(_farey_pairs(4))
+    [(1, 4), (1, 3), (1, 2), (2, 3), (3, 4)]
+    """
     if max_denominator < 1:
         raise ValueError("max denominator must be >= 1")
     a, b, c, d = 0, 1, 1, max_denominator
@@ -75,16 +81,6 @@ def _farey_pairs(max_denominator: int) -> Iterator[tuple[int, int]]:
         yield c, d
         k = (max_denominator + b) // d
         a, b, c, d = c, d, k * c - a, k * d - b
-
-
-def farey_fractions(max_denominator: int) -> Iterator[Fraction]:
-    """Reduced fractions in (0, 1) with denominator <= max_denominator,
-    ascending (the interior of the Farey sequence of that order).
-
-    >>> [str(f) for f in farey_fractions(4)]
-    ['1/4', '1/3', '1/2', '2/3', '3/4']
-    """
-    return (Fraction(c, d) for c, d in _farey_pairs(max_denominator))
 
 
 def _check_family(exponent: int, fiber_genus: int) -> None:

@@ -707,9 +707,10 @@ class JumpingLocusReport:
 
     @classmethod
     def _from_scan(cls, scan_bound: int, b1: int, table: dict) -> "JumpingLocusReport":
-        """The report of a scan's table, canonical by construction: orders
-        from 2 to scan_bound, ascending, each with its jumps (rank-b1
-        canonical exponents, ascending, depth >= 1), and no empty row."""
+        """The report of a scan's table, or of a copied report's, canonical
+        by construction: orders from 2 to scan_bound, ascending, each with
+        its jumps (rank-b1 canonical exponents, ascending, depth >= 1), and
+        no empty row."""
         report = object.__new__(cls)
         report._fill(scan_bound, b1, table)
         return report
@@ -756,9 +757,12 @@ class JumpingLocusReport:
         ])))
 
     def __reduce__(self) -> tuple:
-        # copy and pickle rebuild through the constructor, as the slots
-        # refuse assignment and the read-only rows do not pickle
-        return JumpingLocusReport, (self.scan_bound, self.b1, self.entries)
+        # copy and pickle rebuild from the table as plain dicts, as the slots
+        # refuse assignment and the read-only rows do not pickle; the table
+        # was validated when this report was built, and unpickling runs code
+        # anyway, so a pickle stream is trusted input
+        table = {order: dict(row) for order, row in self.depths.items()}
+        return JumpingLocusReport._from_scan, (self.scan_bound, self.b1, table)
 
     def __repr__(self) -> str:
         return (

@@ -2,9 +2,10 @@
 
 Plain functions over the library's own value types, written for clarity
 rather than speed; nothing in the library calls them.  Also the random
-unimodular matrices that the cover tests build epimorphisms from, and
+unimodular matrices that the cover tests build epimorphisms from,
 Reidemeister-Schreier rewriting with (coset, generator) edge keys and a
-re-reduction of each rewritten relator.
+re-reduction of each rewritten relator, and the Farey fractions that the
+density tests enumerate.
 """
 
 import itertools
@@ -13,6 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from slopekit.covers import SubgroupPresentation, coset_action
+from slopekit.density import _farey_pairs
 from slopekit.errors import SlopekitError
 from slopekit.group_core import (
     AbelianGroupStructure,
@@ -330,3 +332,9 @@ def reference_reidemeister_schreier(presentation, alpha):
         ambient=presentation,
         index=d,
     )
+
+
+def farey_fractions(max_denominator):
+    """Reduced fractions in (0, 1) with denominator <= max_denominator,
+    ascending (the interior of the Farey sequence of that order)."""
+    return (Fraction(c, d) for c, d in _farey_pairs(max_denominator))

@@ -1,5 +1,7 @@
 """Presentation parsing and end-to-end runs of every subcommand."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,13 +9,16 @@ import sys
 
 import pytest
 
+from slopekit import cli
 from slopekit.cli import (
     PresentationParseError,
+    build_parser,
     load_presentation,
     main,
     parse_presentation,
     presentation_from_json_dict,
 )
+from slopekit.errors import SlopekitError
 from slopekit.group_core import GroupPresentation, Word, torus_group, trefoil_group
 
 TORUS_TEXT = "generators: a b\nrelator: a b A B\n"
@@ -383,7 +388,44 @@ def test_malformed_flag_values_exit_2(capsys, argv, fragment):
     assert_single_json_error(err, "SlopekitError", fragment)
 
 
-def test_usage_errors_exit_2(capsys):
+def reference_main(argv):
+    """main as the top-level parser alone runs it: parse_args over the whole
+    argv, the hand checks, the flag converters, then the subcommand."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.subcommand == "scan" and args.max_order < 1:
+        parser.error("--max-order must be >= 1")
+    if args.subcommand == "cover-b1" and args.epimorphism is not None and args.weights is not None:
+        parser.error("argument --weights: not allowed with argument --epimorphism")
+    try:
+        for name, convert in cli._CONVERTERS.items():
+            if getattr(args, name, None) is not None:
+                setattr(args, name, convert(getattr(args, name)))
+    except SlopekitError as exc:
+        cli._fail(cli._provenance(exc), str(exc), type(exc).__name__)
+        return 2
+    return cli.run(args)
+
+
+def outcome(entry, argv):
+    """(exit status, stdout bytes, stderr bytes) of entry(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = entry(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def assert_parses_as_reference(argv):
+    got = outcome(main, argv)
+    assert got == outcome(reference_main, argv), argv
+    assert b"Traceback" not in got[2], argv
+    return got
+
+
+def test_usage_errors_exit_2():
     for argv in (
         ["density", "--epsilon", "1/4"],  # neither target nor denominator
         ["cover-b1", "--input", "x.txt"],  # no epimorphism data
@@ -392,10 +434,132 @@ def test_usage_errors_exit_2(capsys):
         ["cover-b1", "--input", "x.txt", "--cyclic", "3", "--epimorphism", "f"],
         ["density", "--epsilon", "1/4", "--target", "1/2", "--max-denominator", "8"],
         ["cover-b1", "--input", "x.txt", "--epimorphism", "f", "--weights", "9,9"],
+        ["scan", "--input", "x.txt", "--max-order", "0"],
+        [],
+        ["frobnicate"],
+        ["-h"],  # help exits 0, with the usage on stdout
+        ["density", "-h"],
     ):
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv)
-        assert exit_info.value.code == 2, argv
+        code, out, err = assert_parses_as_reference(argv)
+        if "-h" in argv:
+            assert code == 0 and out.startswith(b"usage: slopekit") and err == b"", argv
+        else:
+            assert code == 2 and out == b"" and b"usage: slopekit" in err, argv
+    _, _, err = assert_parses_as_reference(
+        ["density", "--epsilon", "1/4", "--max-denominator", "8", "--input", "other"]
+    )
+    assert err.endswith(b"slopekit: error: unrecognized arguments: --input other\n")
+
+
+def test_one_parse_by_the_subcommand_parser(monkeypatch, torus_file):
+    def no_top_level_parse(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a subcommand")
+
+    commands = (
+        ["abelianize", "--input", torus_file],
+        ["alexander", "--input", torus_file, "--char", "3:1,2"],
+        ["scan", "--input", torus_file, "--max-order", "3", "--format", "json"],
+        ["cover-b1", "--input", torus_file, "--cyclic", "3", "--weights", "1,2"],
+        ["invariants", "--d", "2", "--k", "3"],
+        ["density", "--epsilon", "1/10", "--target", "1/2", "--format", "text"],
+    )
+    expected = [outcome(reference_main, argv) for argv in commands]
+    monkeypatch.setattr(cli._parsers()[0], "parse_args", no_top_level_parse)
+    for argv, reference in zip(commands, expected):
+        code, out, err = outcome(main, argv)
+        assert code == 0 and out and err == b"", argv
+        assert (code, out, err) == reference
+
+
+def test_one_parse_matches_the_top_level_parse(tmp_path):
+    """Generated commands, valid and not, exit and print as parse_args did."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    (tmp_path / "torus.txt").write_text(TORUS_TEXT)
+    (tmp_path / "garbage.txt").write_text("relator: a\n")
+    (tmp_path / "deck.json").write_text('{"factors": [2, 3], "matrix": [[1, 0], [0, 1]]}')
+    torus, garbage, deck, missing, directory = (
+        str(tmp_path / name) for name in ("torus.txt", "garbage.txt", "deck.json", "nope", "")
+    )
+    inputs = ([torus], [garbage, missing, directory])
+    formats = (["text", "json"], ["yaml"])
+    out = ([], [directory])
+    # subcommand -> its flag slots: (required, {flag: (valid values, other values)}),
+    # one flag of a slot given in a valid command; every value small, so that
+    # the largest command scans the torus to order 4
+    slots = {
+        "abelianize": [(True, {"--input": inputs}), (False, {"--format": formats}),
+                       (False, {"--out": out})],
+        "alexander": [
+            (True, {"--input": inputs}),
+            (False, {"--char": (["2:1,0", "3:1,2"], ["4:1", "x", "2:1,0,1"])}),
+            (False, {"--format": formats}),
+        ],
+        "scan": [
+            (True, {"--input": inputs}),
+            (True, {"--max-order": (["1", "2", "4"], ["-1", "0", "x"])}),
+            (False, {"--format": formats}),
+            (False, {"--out": out}),
+        ],
+        "cover-b1": [
+            (True, {"--input": inputs}),
+            (True, {"--cyclic": (["2", "4"], ["0", "x"]), "--epimorphism": ([deck], [missing])}),
+            (False, {"--weights": (["1,0", "1,1"], ["1", "1,x"])}),
+            (False, {"--format": formats}),
+        ],
+        "invariants": [
+            (True, {"--d": (["1", "3"], ["-1", "0", "x"])}),
+            (True, {"--k": (["1", "4"], ["0", "x"])}),
+            (False, {"--format": formats}),
+        ],
+        "density": [
+            (True, {"--epsilon": (["1/4", "1/10", "1/1000000000"], ["0", "-1/2", "x", "1/0"])}),
+            (True, {"--max-denominator": (["8", "12"], ["1", "2", "x"]),
+                    "--target": (["1/2", "2/3"], ["0/1", "3/2", "x", "1/0"])}),
+            (False, {"--exponent": (["1", "2"], ["0", "x"])}),
+            (False, {"--format": (["csv", "json", "text"], ["yaml"])}),
+            (False, {"--plot": out}),
+        ],
+    }
+    extras = ["--bogus", "-x", "extra", "--", "--inp", "--e", "--max", "-h", "--format"]
+
+    @st.composite
+    def commands(draw):
+        name = draw(st.sampled_from([*slots, "frobnicate", "-h", None]))
+        if name is None:
+            return []
+        mode = draw(st.sampled_from(["valid", "one bad value", "any"]))
+        if mode == "any":  # any flag may be missing or ill-valued, and junk added
+            pairs = [
+                [flag, draw(st.sampled_from(good + bad))]
+                for _, options in slots.get(name, slots["density"])
+                for flag, (good, bad) in options.items()
+                if draw(st.integers(0, 3))
+            ]
+            junk = draw(st.lists(st.sampled_from(extras), max_size=2))
+        else:
+            chosen = []
+            for required, options in slots.get(name, ()):
+                flag = draw(st.sampled_from(sorted(options)))
+                if options[flag][0] and (required or draw(st.booleans())):
+                    chosen.append((flag, *options[flag]))
+            spoiled = draw(st.integers(0, len(chosen))) if mode == "one bad value" else None
+            pairs = [
+                [flag, draw(st.sampled_from(bad if i == spoiled and bad else good))]
+                for i, (flag, good, bad) in enumerate(chosen)
+            ]
+            junk = []
+        argv = [token for pair in draw(st.permutations(pairs)) for token in pair]
+        for extra in junk:
+            argv.insert(draw(st.integers(0, len(argv))), extra)
+        return [name, *argv]
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+    @hypothesis.given(commands())
+    def check(argv):
+        assert_parses_as_reference(argv)
+
+    check()
 
 
 @pytest.mark.parametrize(

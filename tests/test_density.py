@@ -18,7 +18,6 @@ from slopekit.density import (
     covering_radius,
     density_certificate,
     family_slope,
-    farey_fractions,
     sequence_params,
     write_certificate_csv,
     write_slope_svg,
@@ -31,6 +30,8 @@ from slopekit.surface_invariants import (
     cyclic_cover_invariants,
     slope,
 )
+
+from _oracles import farey_fractions
 
 
 def test_target_slope_validation():

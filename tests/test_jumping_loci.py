@@ -1161,7 +1161,7 @@ def test_report_from_json_refuses_booleans():
         TorsionCharacter.from_json_dict({**entry, "exponents": [True, 0]})
 
 
-def test_report_table_is_read_only_and_entries_are_built_once():
+def test_report_table_is_read_only_and_entries_are_built_once(monkeypatch):
     report = scan_jumping_loci(trefoil_group(), 12)
     assert dict(report.depths) == {6: {(1,): 1, (5,): 1}}
     for name, value in (("b1", 3), ("depths", {}), ("exponent", 1), ("entries", ())):
@@ -1176,10 +1176,24 @@ def test_report_table_is_read_only_and_entries_are_built_once():
     assert report.entries is report.entries
     public = JumpingLocusReport(12, 1, report.entries)
     assert public == report and hash(public) == hash(report)
-    for again in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
-        assert again == report and again.entries == report.entries
     assert report != JumpingLocusReport(12, 1, report.entries[:1])
     assert report != JumpingLocusReport(13, 1, report.entries)
+    # copy and pickle carry the table, building no entry on either side
+    reports = (report, scan_jumping_loci(surface_group(2), 8), cartwright_steger_report())
+
+    def no_entries(*args):
+        raise AssertionError("a JumpEntry was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(jumping_loci, "_jump_entry", no_entries)
+        copies = [
+            (copy.copy(original), copy.deepcopy(original), pickle.loads(pickle.dumps(original)))
+            for original in reports
+        ]
+        for original, again in zip(reports, copies):
+            assert all(twin == original and twin.exponent == original.exponent for twin in again)
+    for original, again in zip(reports, copies):
+        assert all(twin.entries == original.entries for twin in again)
 
 
 # ---------------------------------------------------------------------------
