@@ -143,7 +143,7 @@ def presentation_from_json_dict(data: Mapping) -> GroupPresentation:
 
 def _read_input(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except (IsADirectoryError, PermissionError, UnicodeDecodeError) as exc:
         raise InputFileError(f"cannot read {path}: {exc}") from exc
@@ -152,7 +152,7 @@ def _read_input(path: str) -> str:
 def _parse_json(source: str, path: str):
     try:
         return json.loads(source)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise InputFileError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -23,13 +23,12 @@ form.
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import deque
 from dataclasses import dataclass
 from math import lcm, prod
 from typing import Mapping, Sequence
 
-from .errors import SlopekitError
+from .errors import SlopekitError, _json_int
 from .group_core import (
     GroupPresentation,
     IntegerMatrix,
@@ -62,11 +61,8 @@ class AbelianEpimorphism:
         if self.source_rank < 0:
             raise NotAnEpimorphismError("source rank must be nonnegative")
         try:
-            # operator.index takes bool, but JSON true is not the integer 1
-            if any(isinstance(x, bool) for row in (self.factors, *self.matrix) for x in row):
-                raise TypeError("'bool' object cannot be interpreted as an integer")
-            factors = tuple(operator.index(n) for n in self.factors)
-            rows = tuple(tuple(operator.index(x) for x in row) for row in self.matrix)
+            factors = tuple(map(_json_int, self.factors))
+            rows = tuple(tuple(map(_json_int, row)) for row in self.matrix)
         except TypeError as exc:
             raise NotAnEpimorphismError(f"factors and matrix entries must be integers: {exc}") from exc
         if any(n < 1 for n in factors):

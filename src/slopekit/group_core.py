@@ -115,8 +115,9 @@ class GroupPresentation:
 
     generator_count: int
     relators: tuple[Word, ...] = ()
-    # Presentations key the per-presentation caches, which are consulted once
-    # per character in a scan; the hash is taken once, at construction.
+    # Presentations key the per-presentation caches.  A scan hashes its
+    # presentation once, but every twisted_h1 call outside a scan looks up
+    # the evaluator cache, so the hash is taken once, at construction.
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -33,8 +33,9 @@ exponent (lcm of the orders occurring in W_1).  The table is the only
 store; (character, depth) entries are a view built from it on first read.
 h^1 is constant on Galois orbits, xi ~ xi^u for u a unit mod m, so a scan
 evaluates one member of each orbit, the first it reaches, and answers the
-other phi(m) - 1 from a table of pending conjugates that it keeps for the
-modulus being scanned.  Two consumers are built on top:
+other phi(m) - 1 from its own table of pending conjugates for the modulus
+being scanned; the evaluator that every caller of a presentation shares
+holds no such state.  Two consumers are built on top:
 
 * Hironaka's formula for the first Betti number of the finite abelian cover
   attached to an epimorphism alpha: G -> S, summed over the dual group of S:
@@ -61,7 +62,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .covers import AbelianEpimorphism
-from .errors import SlopekitError
+from .errors import SlopekitError, _json_int
 from .group_core import GroupPresentation, free_abelianization
 
 
@@ -186,14 +187,6 @@ def _reduce_mod_cyclotomic(modulus: int, vec: list[int]) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Torsion characters
-
-
-def _json_int(value: object) -> int:
-    """An int read from JSON.  operator.index takes true and false as 1 and
-    0, but a JSON boolean is not a number, so it is refused like a string."""
-    if isinstance(value, bool):
-        raise TypeError("'bool' object cannot be interpreted as an integer")
-    return operator.index(value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -436,9 +429,9 @@ class _Evaluator:
     Z[zeta_m] rows.  When every generator image is a standard basis vector
     (surface groups, relators that are products of commutators) the shifts
     are a lookup, ``pick``, an itemgetter over the basis indices; any other
-    image keeps the dot product.  Reached through _evaluator, so a scan
-    shares one evaluator across all its characters; while the scan runs,
-    twisted_h1 finds it in the module slot ``_scanning`` instead.
+    image keeps the dot product.  Reached through _evaluator, so every caller
+    of one presentation, a scan's characters included, shares one evaluator;
+    nothing in it changes after __init__.
 
     The F_p walk reads the steps as ``segments``, one tuple of
     (steps, column) pairs per relator.  With one relator and g >= 2 the
@@ -446,24 +439,10 @@ class _Evaluator:
     relator is cut after each letter that is the last of its column, and
     that column, complete there, is tested before the walk goes on.  Any
     other presentation has one segment per relator, with column None.
-
-    During a scan the evaluator also holds the scan's table of pending
-    Galois conjugates for one modulus m: ``conjugate_modulus`` is m (0 when
-    no table is open), ``conjugate_units`` are the units u != 1 mod m, and
-    ``conjugates`` maps the exponents of each conjugate not yet reached to
-    its h^1 (see scan_jumping_loci).  At rank >= 2 ``conjugate_tables``
-    holds one multiplication table x -> u * x mod m per unit, so that a
-    representative writes each conjugate key with one itemgetter call; a
-    modulus has at least m * phi(m) characters of such a rank, so the
-    tables never cost more than the scan of m itself.  At rank 1 a modulus
-    has one orbit, and its keys are written from the units.  A table
-    belongs to the one scan running, so two threads must not scan one
-    presentation at once.
     """
 
     __slots__ = (
         "presentation", "rank", "images", "pick", "steps", "segments", "generator_count", "bound",
-        "conjugate_modulus", "conjugate_units", "conjugate_tables", "conjugates",
     )
 
     def __init__(self, presentation: GroupPresentation):
@@ -483,37 +462,6 @@ class _Evaluator:
             self.segments = (_column_segments(self.steps[0]),)
         else:
             self.segments = tuple(((steps, None),) for steps in self.steps)
-        self.close_conjugates()
-
-    def open_conjugates(self, m: int, units: Sequence[int]) -> None:
-        """Open an empty table of pending conjugates for modulus m, whose
-        units other than 1 are ``units``."""
-        self.conjugate_modulus = m
-        self.conjugate_units = units
-        self.conjugate_tables = (
-            [tuple([u * x % m for x in range(m)]) for u in units] if self.rank > 1 else ()
-        )
-        self.conjugates = {}
-
-    def close_conjugates(self) -> None:
-        self.conjugate_modulus = 0
-        self.conjugate_units = self.conjugate_tables = ()
-        self.conjugates = None
-
-    def representative_h1(self, character: TorsionCharacter) -> int:
-        """h1 at the first member of a Galois orbit that a scan reaches,
-        stored in the open table under each of its other members."""
-        h1 = self.h1(character)
-        exps, conjugates = character.exponents, self.conjugates
-        if len(exps) > 1:
-            pick = operator.itemgetter(*exps)
-            for table in self.conjugate_tables:
-                conjugates[pick(table)] = h1
-        else:
-            m = self.conjugate_modulus
-            for u in self.conjugate_units:
-                conjugates[(u * exps[0] % m,)] = h1
-        return h1
 
     def shifts(self, character: TorsionCharacter) -> Sequence[int]:
         """Exponent of the character's value on each generator, after checking
@@ -566,10 +514,50 @@ def _evaluator(presentation: GroupPresentation) -> _Evaluator:
     return _Evaluator(presentation)
 
 
-# The evaluator of the scan running, or None: twisted_h1 reaches its table of
-# pending conjugates by one identity check on the presentation, without the
-# _evaluator cache lookup, whose GroupPresentation.__hash__ is Python code.
-_scanning: _Evaluator | None = None
+class _PendingConjugates:
+    """A scan's table of pending Galois conjugates for one modulus m.
+
+    ``pending`` maps the exponents of each conjugate the scan has not
+    reached yet to its h^1; ``units`` are the units u != 1 mod m.  At rank
+    >= 2 ``tables`` holds one multiplication table x -> u * x mod m per
+    unit, so that a representative writes each conjugate key with one
+    itemgetter call; a modulus has at least m * phi(m) characters of such a
+    rank, so the tables never cost more than the scan of m itself.  At rank
+    1 a modulus has one orbit, and its keys are written from the units.
+    """
+
+    __slots__ = ("presentation", "evaluator", "modulus", "units", "tables", "pending")
+
+    def __init__(self, presentation: GroupPresentation, evaluator: _Evaluator, m: int):
+        self.presentation = presentation
+        self.evaluator = evaluator
+        self.modulus = m
+        self.units = units = [u for u in range(2, m) if gcd(u, m) == 1]
+        self.tables = (
+            [tuple([u * x % m for x in range(m)]) for u in units] if evaluator.rank > 1 else ()
+        )
+        self.pending = {}
+
+    def representative_h1(self, character: TorsionCharacter) -> int:
+        """h1 at the first member of a Galois orbit that the scan reaches,
+        stored under each of its other members."""
+        h1 = self.evaluator.h1(character)
+        exps, pending = character.exponents, self.pending
+        if len(exps) > 1:
+            pick = operator.itemgetter(*exps)
+            for table in self.tables:
+                pending[pick(table)] = h1
+        else:
+            m = self.modulus
+            for u in self.units:
+                pending[(u * exps[0] % m,)] = h1
+        return h1
+
+
+# The table of the scan running, or None: twisted_h1 reaches it by one
+# identity check on the presentation, without the _evaluator cache lookup,
+# whose GroupPresentation.__hash__ is Python code.
+_scanning: _PendingConjugates | None = None
 
 
 def twisted_h1(presentation: GroupPresentation, character: TorsionCharacter) -> int:
@@ -596,21 +584,17 @@ def twisted_h1(presentation: GroupPresentation, character: TorsionCharacter) -> 
 
     h^1(xi^u) = h^1(xi) for every unit u mod m, since A(xi^u) is the Galois
     conjugate of A(xi).  While scan_jumping_loci runs, a call on the very
-    presentation object it scans, with a character of the modulus being
+    presentation object it was passed, with a character of the modulus being
     scanned, is first looked up in the scan's table of pending conjugates,
     which answers every member of an orbit after the first.  Any other call
     - outside a scan, on another presentation (also an equal one), or at
     another modulus - evaluates the character itself and stores nothing.
     """
-    evaluator = _scanning
-    if (
-        evaluator is not None
-        and presentation is evaluator.presentation
-        and character.modulus == evaluator.conjugate_modulus
-    ):
-        h1 = evaluator.conjugates.pop(character.exponents, None)
+    scan = _scanning
+    if scan is not None and presentation is scan.presentation and character.modulus == scan.modulus:
+        h1 = scan.pending.pop(character.exponents, None)
         if h1 is None:
-            h1 = evaluator.representative_h1(character)
+            h1 = scan.representative_h1(character)
         return h1
     return _evaluator(presentation).h1(character)
 
@@ -839,33 +823,31 @@ def scan_jumping_loci(presentation: GroupPresentation, max_order: int) -> Jumpin
     depth``, one row per order; no JumpEntry is built until ``entries`` is
     read.
 
-    For each modulus m the scan opens a table of pending Galois conjugates
-    on the presentation's evaluator, and names that evaluator in the module
-    slot that twisted_h1 checks first.  The first member of an orbit
-    {u * e mod m : u a unit} that the scan reaches is its lexicographically
-    smallest; it is evaluated in full, and its h^1 is stored under its
-    phi(m) - 1 other members, each answered later by one dict pop.  So the
-    F_p certificate, and any exact Z[zeta_m] elimination, runs once per
-    orbit.  The table drains by the end of each modulus; it and the slot
-    are dropped when the scan ends, also when it raises.  At a prime m every
-    nonzero exponent vector is canonical, and no gcd is taken.
+    For each modulus m the scan puts a fresh _PendingConjugates table in
+    the module slot ``_scanning``, which twisted_h1 checks first.  The
+    first member of an orbit {u * e mod m : u a unit} that the scan reaches
+    is its lexicographically smallest; it is evaluated in full, and its h^1
+    is stored under its phi(m) - 1 other members, each answered later by
+    one dict pop.  So the F_p certificate, and any exact Z[zeta_m]
+    elimination, runs once per orbit.  The table drains by the end of each
+    modulus.  When the scan ends, also when it raises, the slot gets back
+    what it held, so a nested scan leaves the outer table in place; the
+    slot is process-wide, so two threads must not scan at once.  At a prime
+    m every nonzero exponent vector is canonical, and no gcd is taken.
     """
     global _scanning
     max_order = operator.index(max_order)
     if max_order < 1:
         raise ValueError("scan bound must be >= 1")
-    # The cached evaluator's own presentation, so that every twisted_h1 call
-    # passes the slot's identity check even when the caller passed an equal twin.
     evaluator = _evaluator(presentation)
-    group, rank = evaluator.presentation, evaluator.rank
+    rank = evaluator.rank
     table = {}
     new, set_modulus, set_exponents = object.__new__, _set_modulus, _set_exponents
-    previous, _scanning = _scanning, evaluator
+    previous = _scanning
     try:
         for m in range(2, max_order + 1):
-            units = [u for u in range(2, m) if gcd(u, m) == 1]
-            evaluator.open_conjugates(m, units)
-            composite = len(units) < m - 2
+            _scanning = _PendingConjugates(presentation, evaluator, m)
+            composite = len(_scanning.units) < m - 2
             vectors = itertools.product(range(m), repeat=rank)
             if not composite:
                 next(vectors)  # m is prime: only the zero vector is not canonical
@@ -876,14 +858,13 @@ def scan_jumping_loci(presentation: GroupPresentation, max_order: int) -> Jumpin
                 xi = new(TorsionCharacter)
                 set_modulus(xi, m)
                 set_exponents(xi, exps)
-                depth = twisted_h1(group, xi)
+                depth = twisted_h1(presentation, xi)
                 if depth >= 1:
                     row[exps] = depth
             if row:
                 table[m] = row
     finally:
         _scanning = previous
-        evaluator.close_conjugates()
     return JumpingLocusReport._from_scan(max_order, rank, table)
 
 

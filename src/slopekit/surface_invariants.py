@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import SlopekitError
+from .errors import SlopekitError, _json_int
 
 
 class NoetherViolationError(SlopekitError):
@@ -55,7 +55,7 @@ class SurfaceInvariants:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SurfaceInvariants":
-        return cls(data["K2"], data["chi"], data["q"], data["pg"])
+        return cls(*(_json_int(data[name]) for name in ("K2", "chi", "q", "pg")))
 
 
 @dataclass(frozen=True)

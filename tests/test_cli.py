@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from slopekit import cli
+from slopekit import density as density_mod
 from slopekit.cli import (
     PresentationParseError,
     build_parser,
@@ -292,6 +293,46 @@ def test_truncated_json_input_is_an_error(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"generators": ["a", "b"], "relators": [')
     code, out, err = run_cli(capsys, "scan", "--input", str(path), "--max-order", "2")
+    assert code == 1 and out == ""
+    assert_single_json_error(err, "InputFileError", "not valid JSON")
+
+
+BOM = b"\xef\xbb\xbf"
+TORUS_JSON = {"generators": ["a", "b"], "relators": [["a", "b", "A", "B"]]}
+
+
+def nested_json(key, depth=200_000):
+    """A JSON object whose ``key`` holds lists nested ``depth`` deep."""
+    return '{"%s": %s%s}' % (key, "[" * depth, "]" * depth)
+
+
+def test_input_files_may_start_with_a_bom(capsys, tmp_path, genus2_file):
+    text_path, json_path = tmp_path / "torus.txt", tmp_path / "torus.json"
+    text_path.write_bytes(BOM + TORUS_TEXT.encode())
+    json_path.write_bytes(BOM + json.dumps(TORUS_JSON).encode())
+    for path in (text_path, json_path):
+        code, out, err = run_cli(capsys, "abelianize", "--input", str(path), "--format", "json")
+        assert code == 0 and err == ""
+        assert json.loads(out) == {"free_rank": 2, "torsion": []}
+    epi_path = tmp_path / "epi.json"
+    epi_path.write_bytes(BOM + b'{"factors": [2, 4], "matrix": [[1, 0, 0, 0], [0, 1, 0, 0]]}')
+    code, out, err = run_cli(
+        capsys, "cover-b1", "--input", genus2_file, "--epimorphism", str(epi_path)
+    )
+    assert code == 0 and err == ""
+    assert "reidemeister-schreier b1: 18" in out and "routes agree: yes" in out
+
+
+def test_deeply_nested_json_is_an_error(capsys, tmp_path, genus2_file):
+    path = tmp_path / "deep.json"
+    path.write_text(nested_json("generators"))
+    code, out, err = run_cli(capsys, "abelianize", "--input", str(path))
+    assert code == 1 and out == ""
+    assert_single_json_error(err, "InputFileError", "not valid JSON")
+    path.write_text(nested_json("factors"))
+    code, out, err = run_cli(
+        capsys, "cover-b1", "--input", genus2_file, "--epimorphism", str(path)
+    )
     assert code == 1 and out == ""
     assert_single_json_error(err, "InputFileError", "not valid JSON")
 
@@ -588,3 +629,134 @@ def test_output_path_errors_are_json(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, *argv, str(tmp_path))
     assert code == 1 and out == ""
     assert_single_json_error(err, "IsADirectoryError", str(tmp_path))
+
+
+def test_cli_contract_on_generated_commands(tmp_path):
+    """Every generated command either succeeds, with empty stderr and stdout
+    that parses in its format, or fails with empty stdout and one JSON error
+    object (or, at exit 2, an argparse usage message) on stderr."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    presentations = {
+        "torus.txt": TORUS_TEXT.encode(),
+        "genus2.txt": GENUS2_TEXT.encode(),
+        "trefoil.txt": TREFOIL_TEXT.encode(),
+        "torsion.txt": b"generators: a b c\nrelator: a a b c B C\n",
+        "free.txt": b"generators: a b\n",
+        "bom-genus2.txt": BOM + GENUS2_TEXT.encode(),
+        "torus.json": json.dumps(TORUS_JSON).encode(),
+        "bom-torus.json": BOM + json.dumps(TORUS_JSON).encode(),
+        "z2.json": b'{"generators": ["a"], "relators": [["a", "a"]]}',
+    }
+    epimorphisms = {
+        "genus2-deck.json": b'{"factors": [2, 4], "matrix": [[1, 0, 0, 0], [0, 1, 0, 0]]}',
+        "torus-deck.json": b'{"factors": [3], "matrix": [[1, 2]]}',
+        "bom-torus-deck.json": BOM + b'{"factors": [2], "matrix": [[1, 1]]}',
+        "trivial-deck.json": b'{"factors": [], "matrix": []}',
+    }
+    broken = {
+        "deep.json": nested_json("generators").encode(),
+        "binary.txt": b"\xff\xfe\x00generators",
+        "empty.txt": b"",
+        "unknown-letter.txt": b"generators: a\nrelator: b\n",
+        "bool-factor.json": b'{"factors": [true, 4], "matrix": [[1, 0], [0, 1]]}',
+        "bool-entry.json": b'{"factors": [2], "matrix": [[true, 0, 0, 0]]}',
+        "string-entries.json": b'{"factors": ["2"], "matrix": [["1", "0"]]}',
+        "short-row.json": b'{"factors": [2], "matrix": [[1, 0, 0]]}',
+        "flat-matrix.json": b'{"factors": [2], "matrix": [1]}',
+        "scalar-factors.json": b'{"factors": 2, "matrix": []}',
+        "list.json": b"[]",
+        "no-factors.json": b'{"matrix": [[1, 0]]}',
+        "not-onto.json": b'{"factors": [4], "matrix": [[2, 0]]}',
+        "zero-map.json": b'{"factors": [2], "matrix": [[0, 0, 0, 0]]}',
+        "deep-deck.json": nested_json("factors").encode(),
+    }
+
+    def write(group):
+        for name, data in group.items():
+            (tmp_path / name).write_bytes(data)
+        return [str(tmp_path / name) for name in group]
+
+    valid_inputs, valid_decks, junk = map(write, (presentations, epimorphisms, broken))
+    pool = valid_inputs + valid_decks + junk + [str(tmp_path), str(tmp_path / "nope")]
+    # each file may go to either flag, the fitting ones three more times
+    inputs = st.sampled_from(pool + 3 * valid_inputs)
+    decks = st.sampled_from(pool + 3 * valid_decks)
+
+    def numbers(low, high):
+        return st.sampled_from([*map(str, range(low, high + 1)), "x", ""])
+
+    fraction = st.sampled_from(["1/4", "1/10", "2/3", "1/2", "0", "-1", "x", "1/0", ""])
+    characters = st.builds(
+        lambda m, exps: "%d:%s" % (m, ",".join(map(str, exps))),
+        st.integers(-1, 12), st.lists(st.integers(-2, 12), max_size=4),
+    ) | st.sampled_from(["x", "3:", ":1", "2:1,y"])
+    # onto Z/d for the nonzero free ranks of the pool (1, 2 and 4) and most d
+    weights = st.sampled_from(["1", "1,0", "1,3", "1,0,0,0", "2,1,0,3"]) | st.lists(
+        st.integers(-1, 8), min_size=1, max_size=5
+    ).map(lambda ws: ",".join(map(str, ws))) | st.sampled_from(["x", "", "1,,0"])
+    text_formats = st.sampled_from(["text", "json"] * 4 + ["csv"])
+    # subcommand -> (required flags, optional flags); one flag of a tuple is drawn
+    flags = {
+        "abelianize": ([{"--input": inputs}], {"--format": text_formats}),
+        "alexander": ([{"--input": inputs}],
+                      {"--char": characters, "--format": text_formats}),
+        "scan": ([{"--input": inputs}, {"--max-order": numbers(-1, 4)}],
+                 {"--format": text_formats}),
+        "cover-b1": (
+            [{"--input": inputs},
+             {"--cyclic": numbers(-1, 8), "--epimorphism": decks}],
+            {"--weights": weights, "--format": text_formats},
+        ),
+        "invariants": ([{"--d": numbers(-1, 50)}, {"--k": numbers(-1, 50)}],
+                       {"--format": text_formats}),
+        "density": (
+            [{"--epsilon": fraction},
+             {"--max-denominator": numbers(-1, 16), "--target": fraction}],
+            {"--exponent": numbers(-1, 8),
+             "--format": st.sampled_from(["csv", "json", "text"] * 3 + ["x"])},
+        ),
+    }
+
+    @st.composite
+    def commands(draw):
+        name = draw(st.sampled_from(sorted(flags)))
+        required, optional = flags[name]
+        pairs = []
+        for options in required:
+            flag = draw(st.sampled_from(sorted(options)))
+            if draw(st.integers(0, 19)):  # now and then a required flag is left out
+                pairs.append([flag, draw(options[flag])])
+        for flag in sorted(optional):
+            if draw(st.integers(0, 3)):
+                pairs.append([flag, draw(optional[flag])])
+        return [name] + [token for pair in draw(st.permutations(pairs)) for token in pair]
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+    @hypothesis.given(commands())
+    def check(argv):
+        code, out, err = outcome(main, argv)
+        out, err = out.decode(), err.decode()
+        if code == 0:
+            assert err == "", argv
+            fmt = argv[argv.index("--format") + 1] if "--format" in argv else (
+                "csv" if argv[0] == "density" else "text"
+            )
+            if fmt == "json":
+                json.loads(out)
+            elif fmt == "csv":
+                header, *rows = [line.split(",") for line in out.splitlines()]
+                assert header == density_mod.CSV_HEADER, argv
+                assert all(len(row) == len(header) for row in rows), argv
+                [int(field) for row in rows for field in row]
+            else:
+                assert out.endswith("\n") and out.strip(), argv
+            return
+        assert out == "", argv
+        if code == 2 and err.startswith("usage: slopekit"):
+            return
+        error = json.loads(err)  # exactly one JSON object, no traceback
+        assert sorted(error) == ["error", "module", "type"], argv
+        assert code in (1, 2), argv
+
+    check()

@@ -643,24 +643,33 @@ def test_scan_report_matches_public_constructor_and_exact_ranks():
     check()
 
 
-def test_scan_passes_the_cached_presentation_to_twisted_h1(monkeypatch):
+def test_scan_passes_its_own_presentation_to_twisted_h1(monkeypatch):
     jumping_loci._evaluator.cache_clear()
     genus2 = surface_group(2)
     twin = GroupPresentation(4, ((1, 2, -1, -2, 3, 4, -3, -4),))
     assert twin == genus2 and twin is not genus2
-    original = jumping_loci.twisted_h1
-    received = []
+    original, evaluate = jumping_loci.twisted_h1, jumping_loci._Evaluator.h1
+    received, evaluated = [], []
 
     def counted(presentation, xi):
         received.append(presentation)
         return original(presentation, xi)
 
+    def counted_h1(evaluator, xi):
+        evaluated.append(xi)
+        return evaluate(evaluator, xi)
+
     monkeypatch.setattr(jumping_loci, "twisted_h1", counted)
-    first = scan_jumping_loci(genus2, 3)
-    second = scan_jumping_loci(twin, 3)
-    assert first == second
-    assert len(received) == 2 * 95  # J_4(2) + J_4(3) characters per scan
-    assert all(presentation is genus2 for presentation in received)
+    monkeypatch.setattr(jumping_loci._Evaluator, "h1", counted_h1)
+    reports = []
+    for group in (genus2, twin):
+        received.clear()
+        evaluated.clear()
+        reports.append(scan_jumping_loci(group, 3))
+        assert len(received) == 95  # J_4(2) + J_4(3) characters
+        assert all(presentation is group for presentation in received)
+        assert len(evaluated) == 55  # one per Galois orbit: 15 + 80 / 2
+    assert reports[0] == reports[1]
 
 
 def _one_or_three_relator_groups(st):
@@ -692,8 +701,7 @@ def test_scan_report_equals_per_character_twisted_h1_outside_a_scan():
     def check(case):
         presentation, bound = case
         report = scan_jumping_loci(presentation, bound)
-        evaluator = jumping_loci._evaluator(presentation)
-        assert evaluator.conjugates is None and evaluator.conjugate_modulus == 0
+        assert jumping_loci._scanning is None
         entries = []
         for xi in enumerate_characters(report.b1, bound):
             depth = twisted_h1(presentation, xi)
@@ -716,18 +724,17 @@ def test_conjugate_table_drains_per_modulus_and_is_dropped_after_an_aborted_scan
     @hypothesis.given(_one_or_three_relator_groups(st), st.integers(0, 400))
     def check(case, abort_at):
         presentation, bound = case
-        evaluator = jumping_loci._evaluator(presentation)
         pending = []  # (modulus, table size after the call)
 
         def recorded(group, xi):
             depth = original(group, xi)
-            pending.append((xi.modulus, len(evaluator.conjugates)))
+            pending.append((xi.modulus, len(jumping_loci._scanning.pending)))
             return depth
 
         with monkeypatch.context() as patch:
             patch.setattr(jumping_loci, "twisted_h1", recorded)
             expected = scan_jumping_loci(presentation, bound)
-        assert evaluator.conjugates is None and evaluator.conjugate_modulus == 0
+        assert jumping_loci._scanning is None
         # the last character of each modulus leaves the table empty
         for (m, size), (after, _) in zip(pending, pending[1:] + [(None, None)]):
             if after != m:
@@ -747,7 +754,7 @@ def test_conjugate_table_drains_per_modulus_and_is_dropped_after_an_aborted_scan
                 scan_jumping_loci(presentation, bound)
             except Abort:
                 pass
-        assert evaluator.conjugates is None and evaluator.conjugate_modulus == 0
+        assert jumping_loci._scanning is None
         # nothing stale answers a later scan or a direct call
         assert scan_jumping_loci(presentation, bound) == expected
         for xi in calls:
@@ -756,13 +763,23 @@ def test_conjugate_table_drains_per_modulus_and_is_dropped_after_an_aborted_scan
     check()
 
 
+def _evaluator_slots(evaluator):
+    return [getattr(evaluator, name) for name in jumping_loci._Evaluator.__slots__]
+
+
+def _same_objects(before, after):
+    return len(before) == len(after) and all(x is y for x, y in zip(before, after))
+
+
 def test_a_direct_twisted_h1_call_stores_no_conjugates():
     group = surface_group(2)
     evaluator = jumping_loci._evaluator(group)
+    slots = _evaluator_slots(evaluator)
     xi = TorsionCharacter(10007, (1, 2, 3, 4))
     assert _is_prime(10007)
     assert twisted_h1(group, xi) == 2
-    assert evaluator.conjugates is None and evaluator.conjugate_modulus == 0
+    assert jumping_loci._scanning is None
+    assert _same_objects(slots, _evaluator_slots(evaluator))
 
 
 def _groups_of_free_rank_up_to_four(st):
@@ -852,9 +869,8 @@ def test_a_foreign_twisted_h1_call_inside_a_scan_evaluates_in_full(monkeypatch):
     genus2 = surface_group(2)
     twin = GroupPresentation(4, ((1, 2, -1, -2, 3, 4, -3, -4),))
     trefoil = trefoil_group()
-    scanning, other = jumping_loci._evaluator(genus2), jumping_loci._evaluator(trefoil)
-    # an equal twin shares the scanning evaluator, but not the identity check
-    assert jumping_loci._evaluator(twin) is scanning
+    # an equal twin shares the scanned group's evaluator, but not the identity check
+    assert jumping_loci._evaluator(twin) is jumping_loci._evaluator(genus2)
     # at the modulus being scanned: an order-6 character of genus 2 that is
     # pending when the call is made, one not reached yet, and one of the trefoil
     calls = [
@@ -871,12 +887,12 @@ def test_a_foreign_twisted_h1_call_inside_a_scan_evaluates_in_full(monkeypatch):
     def wrapped(group, xi):
         depth = original(group, xi)
         if xi.modulus == 6 and xi.exponents == (1, 2, 0, 0):
-            assert jumping_loci._scanning is scanning
-            assert scanning.conjugates.get((5, 0, 0, 0)) == 2
-            pending = dict(scanning.conjugates)
+            scan = jumping_loci._scanning
+            assert scan.presentation is genus2 and scan.modulus == 6
+            assert scan.pending.get((5, 0, 0, 0)) == 2
+            pending = dict(scan.pending)
             answered.extend(original(p, character) for p, character in calls)
-            assert scanning.conjugates == pending and scanning.conjugate_modulus == 6
-            assert other.conjugates is None and other.conjugate_modulus == 0
+            assert jumping_loci._scanning is scan and scan.pending == pending
         return depth
 
     monkeypatch.setattr(jumping_loci, "twisted_h1", wrapped)
@@ -885,7 +901,52 @@ def test_a_foreign_twisted_h1_call_inside_a_scan_evaluates_in_full(monkeypatch):
     assert answered == expected
     assert report == scan_jumping_loci(genus2, 6)
     assert jumping_loci._scanning is None
-    assert scanning.conjugates is None and scanning.conjugate_modulus == 0
+
+
+def test_a_scan_nested_in_a_scan_keeps_the_outer_table_and_the_evaluator_unchanged(monkeypatch):
+    genus2 = surface_group(2)
+    plain, inner_plain = scan_jumping_loci(genus2, 5), scan_jumping_loci(genus2, 3)
+    evaluator = jumping_loci._evaluator(genus2)
+    slots = _evaluator_slots(evaluator)
+    original, evaluate = jumping_loci.twisted_h1, jumping_loci._Evaluator.h1
+    nested, inner, evaluations = [], [], []  # evaluations: True inside the nested scan
+
+    def counted_h1(self, xi):
+        evaluations.append(bool(nested))
+        return evaluate(self, xi)
+
+    def nesting(group, xi):
+        depth = original(group, xi)
+        if not nested and xi.modulus == 4 and xi.exponents == (0, 0, 0, 1):
+            nested.append(xi)
+            inner.append(scan_jumping_loci(genus2, 3))
+            nested.clear()
+        return depth
+
+    monkeypatch.setattr(jumping_loci._Evaluator, "h1", counted_h1)
+    monkeypatch.setattr(jumping_loci, "twisted_h1", nesting)
+    report = scan_jumping_loci(genus2, 5)
+    # one evaluation per Galois orbit of the outer scan: 15 + 80/2 + 240/2 + 624/4;
+    # the outer table dropped by the nested scan would make it 451
+    assert evaluations.count(False) == 331
+    assert evaluations.count(True) == 55
+    assert report == plain and inner == [inner_plain]
+    assert jumping_loci._scanning is None
+    assert _same_objects(slots, _evaluator_slots(evaluator))
+
+    class Abort(Exception):
+        pass
+
+    def aborting(group, xi):
+        if xi.modulus == 5:
+            raise Abort
+        return original(group, xi)
+
+    monkeypatch.setattr(jumping_loci, "twisted_h1", aborting)
+    with pytest.raises(Abort):
+        scan_jumping_loci(genus2, 5)
+    assert jumping_loci._scanning is None
+    assert _same_objects(slots, _evaluator_slots(evaluator))
 
 
 def test_twisted_h1_alternating_presentations_matches_fresh_evaluation():

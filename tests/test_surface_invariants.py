@@ -47,6 +47,9 @@ def test_invariants_take_ints_only():
         SurfaceInvariants(9.5, 1, 1, 1)
     with pytest.raises(TypeError):
         SurfaceInvariants.from_json_dict({"K2": "9", "chi": 1, "q": 1, "pg": 1})
+    # JSON true is not the integer 1, as for the report and epimorphism readers
+    with pytest.raises(TypeError):
+        SurfaceInvariants.from_json_dict({"K2": 9, "chi": True, "q": True, "pg": True})
     surface = SurfaceInvariants(True, 1, 1, 1)
     assert type(surface.K2) is int and slope(surface) == 1
 
