@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from io import StringIO
 from operator import itemgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import density as density_mod
 from . import surface_invariants as surfaces
@@ -283,6 +283,8 @@ def _scan_text(report: JumpingLocusReport) -> str:
 
 # Density entries are their certificate rows; each template picks the 12 ints
 # into its field order, in the bytes of `_json_text`; a certificate is never empty.
+# The renderers take the rows as they stream and return the whole output only
+# after the last one, so a row refused mid-stream leaves nothing to emit.
 _DENSITY_JSON = '{\n  "entries": [\n%s\n  ],\n  "epsilon": "%d/%d"\n}\n'
 _DENSITY_JSON_ENTRY = (
     '    {\n      "d": %d,\n      "e": %d,\n      "gap": "%d/%d",\n      "k": %d,\n'
@@ -294,18 +296,19 @@ _DENSITY_TEXT_ENTRY = "  target %d/%d (p/q=%d/%d) n=%d d=%d k=%d slope=%d/%d gap
 _DENSITY_TEXT_FIELDS = itemgetter(2, 3, 0, 1, 5, 6, 7, 8, 9, 10, 11)
 
 
-def _density_lines(template: str, fields: itemgetter, entries: Sequence) -> Iterator[str]:
+def _density_lines(template: str, fields: itemgetter, entries: Iterable) -> Iterator[str]:
     return map(template.__mod__, map(fields, entries))
 
 
-def _density_json(epsilon: Fraction, entries: Sequence[density_mod.ConvergenceReport]) -> str:
+def _density_json(epsilon: Fraction, entries: Iterable[density_mod.ConvergenceReport]) -> str:
     body = ",\n".join(_density_lines(_DENSITY_JSON_ENTRY, _DENSITY_JSON_FIELDS, entries))
     return _DENSITY_JSON % (body, epsilon.numerator, epsilon.denominator)
 
 
-def _density_text(epsilon: Fraction, entries: Sequence[density_mod.ConvergenceReport]) -> str:
-    lines = [f"epsilon: {epsilon}", f"entries: {len(entries)}"]
+def _density_text(epsilon: Fraction, entries: Iterable[density_mod.ConvergenceReport]) -> str:
+    lines = [f"epsilon: {epsilon}", ""]
     lines += _density_lines(_DENSITY_TEXT_ENTRY, _DENSITY_TEXT_FIELDS, entries)
+    lines[1] = f"entries: {len(lines) - 2}"
     return "\n".join(lines) + "\n"
 
 
@@ -455,10 +458,15 @@ def _cmd_density(args: argparse.Namespace) -> int:
     genus = surfaces.cartwright_steger_profile()[1].fiber_genus
     if args.target is not None:
         entries = [density_mod.convergence_report(args.target, args.exponent, genus, args.epsilon)]
-    else:
+    elif args.plot:
+        # The plot reads the rows a second time, so they are held.
         entries = density_mod.density_certificate(
             args.epsilon, args.exponent, genus, args.max_denominator
         ).entries
+    else:
+        entries = density_mod.certificate_rows(
+            args.epsilon, args.exponent, genus, args.max_denominator
+        )
 
     if args.fmt == "csv":
         buffer = StringIO()

@@ -15,12 +15,18 @@ is O(1/n), so the first n within epsilon is solved in closed form and checked
 exactly at n and n - 1.  A density certificate instantiates one convergent
 family per Farey target of denominator at most Q and checks, by integer
 cross-multiplication of numerators and denominators, that the achieved slopes
-leave no point of [8, 9] farther than epsilon away.  The targets form the
+leave no point of [8, 9] farther than epsilon away.  The targets can form the
 needed epsilon/2-net only when Q >= 2/epsilon: their covering radius is 1/Q
-in closed form, checked before any target is built.  No floating point enters
-any comparison.  An entry is the row of 12 integers that every output format
-prints; its TargetSlope, FamilyParams and Fractions are built only when a
-library caller reads the properties that name them.
+in closed form, checked before any target is built.  `certificate_rows`
+then checks each row as it streams past: its gap is at most epsilon/2, and
+its target lies within epsilon of the one before (epsilon/2 at the two
+ends), so the targets' net is computed from the rows themselves and the
+slopes' radius follows by the triangle inequality, with no sort and no row
+held.  `DensityCertificate` holds the rows and re-checks any it is given,
+sorting them first if need be.  No floating point enters any comparison.
+An entry is the row of 12 integers that every output format prints; its
+TargetSlope, FamilyParams and Fractions are built only when a library
+caller reads the properties that name them.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import IO, Callable, Iterator, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import SlopekitError
 from .surface_invariants import FamilyParams
@@ -185,10 +191,11 @@ def _first_member(
             )
     common, gap_den = gcd(num, den), den * q
     gap_common = gcd(gap_num, gap_den)
-    return ConvergenceReport(
+    # tuple.__new__ skips the named tuple's Python-level __new__ frame.
+    return tuple.__new__(ConvergenceReport, (
         p, q, value_num, q, exponent, n, d, k, num // common, den // common,
         gap_num // gap_common, gap_den // gap_common,
-    )
+    ))
 
 
 def convergence_report(
@@ -210,6 +217,16 @@ def convergence_report(
     return _first_member(
         target.p, target.q, exponent, fiber_genus - 1, epsilon.numerator, epsilon.denominator
     )
+
+
+def _check_gap(entry: ConvergenceReport) -> None:
+    """Refuse a row whose stated gap is not |slope - target| of its own ints."""
+    _, _, t_num, t_den, _, _, _, _, s_num, s_den, gap_num, gap_den = entry
+    if gap_num * s_den * t_den != gap_den * abs(s_num * t_den - t_num * s_den):
+        raise SlopekitError(
+            f"entry for target 9 - {entry.p}/{entry.q} states gap {entry.gap}, "
+            f"not |{entry.achieved} - {t_num}/{t_den}|"
+        )
 
 
 def _exceeds(x: Fraction, bound: Fraction) -> bool:
@@ -253,12 +270,8 @@ class DensityCertificate:
         ascending = True
         last_num, last_den = entries[0].target_num, entries[0].target_den
         for entry in entries:
-            _, _, t_num, t_den, _, _, _, _, s_num, s_den, gap_num, gap_den = entry
-            if gap_num * s_den * t_den != gap_den * abs(s_num * t_den - t_num * s_den):
-                raise SlopekitError(
-                    f"entry for target 9 - {entry.p}/{entry.q} states gap {entry.gap}, "
-                    f"not |{entry.achieved} - {t_num}/{t_den}|"
-                )
+            _check_gap(entry)
+            _, _, t_num, t_den, _, _, _, _, _, _, gap_num, gap_den = entry
             if gap_num * b > a * gap_den:
                 raise SlopekitError(f"entry gap {entry.gap} exceeds epsilon {self.epsilon}")
             if last_num * t_den > t_num * last_den:
@@ -299,22 +312,32 @@ def covering_radius(certificate: DensityCertificate) -> Fraction:
     return _widest_gap(slopes)
 
 
-def density_certificate(
+def certificate_rows(
     epsilon: Fraction | int | str,
     exponent: int,
     fiber_genus: int,
     max_denominator: int,
-) -> DensityCertificate:
-    """Certify the epsilon-density of the achieved slopes in [8, 9].
+) -> Iterator[ConvergenceReport]:
+    """The rows of the epsilon-density certificate, in target order, each
+    checked as it passes.
 
     Targets are the points 9 - p/q over the Farey fractions p/q of order at
-    most Q = max_denominator.  The family parameters are checked first;
-    then the targets must form an epsilon/2-net of (8, 9).  Their covering
-    radius is 1/Q in closed form, so the net needs Q >= 2/epsilon, and a
-    smaller Q raises NetInfeasibleError naming the gap (8, 8 + 1/Q) before
-    any target is built.  Each target then receives a family member with
-    gap at most epsilon/2, so every point of [8, 9] ends up within epsilon
-    of an achieved slope.
+    most Q = max_denominator.  Every refusal that needs no row is made when
+    this is called, before a row is built: epsilon > 0, Q >= 1, the family,
+    Q = 1, and then the net.  The targets' covering radius is 1/Q in closed
+    form, so the net needs Q >= 2/epsilon, and a smaller Q raises
+    NetInfeasibleError naming the gap (8, 8 + 1/Q).
+
+    Each target then receives its first family member with gap at most
+    epsilon/2.  As the row passes, its gap is checked against its own slope
+    and target and against epsilon/2, and its target must lie above the one
+    before, within epsilon of it; the first target must lie within
+    epsilon/2 of 8 and the last within epsilon/2 of 9.  So every point of
+    [8, 9] is within epsilon/2 of a target, and by the triangle inequality
+    within epsilon of an achieved slope, once the rows are exhausted.  A row
+    that fails raises SlopekitError (NetInfeasibleError for an uncovered
+    gap) when it is reached, so a caller that must emit nothing on failure
+    emits only after the last row.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -341,14 +364,68 @@ def density_certificate(
             f"largest uncovered gap is (8, {8 + radius}) "
             f"with covering radius {radius} > {half}"
         )
-    a, b, genus_less_one = half.numerator, half.denominator, fiber_genus - 1
+    return _checked_rows(half, exponent, fiber_genus - 1, max_denominator)
+
+
+def _checked_rows(
+    half: Fraction, exponent: int, genus_less_one: int, max_denominator: int
+) -> Iterator[ConvergenceReport]:
+    """The rows of certificate_rows, on arguments it has checked."""
+    a, b = half.numerator, half.denominator
+    # The last target passed, from 8 on, and how far the next may lie above
+    # it: epsilon/2 from 8, then epsilon, so no point between two targets is
+    # farther than epsilon/2 from both.
+    last_num, last_den, reach = 8, 1, a
     # c/q -> (q - c)/q maps the Farey fractions onto themselves, so the
     # reduced p = q - c descend as c/q ascends: 9 - p/q comes in value order.
-    entries = tuple(
-        _first_member(q - c, q, exponent, genus_less_one, a, b)
-        for c, q in _farey_pairs(max_denominator)
+    for c, q in _farey_pairs(max_denominator):
+        row = _first_member(q - c, q, exponent, genus_less_one, a, b)
+        _check_gap(row)
+        t_num, t_den = row[2], row[3]
+        if row[10] * b > a * row[11]:
+            raise SlopekitError(f"entry gap {row.gap} exceeds epsilon/2 {half}")
+        width = t_num * last_den - last_num * t_den
+        if width <= 0:
+            raise SlopekitError(
+                f"target {t_num}/{t_den} does not lie above {Fraction(last_num, last_den)}"
+            )
+        if width * b > reach * t_den * last_den:
+            raise _uncovered_gap(max_denominator, half, Fraction(last_num, last_den),
+                                 Fraction(t_num, t_den))
+        last_num, last_den, reach = t_num, t_den, 2 * a
+        yield row
+    if (9 * last_den - last_num) * b > a * last_den:
+        raise _uncovered_gap(max_denominator, half, Fraction(last_num, last_den), Fraction(9))
+
+
+def _uncovered_gap(
+    max_denominator: int, half: Fraction, left: Fraction, right: Fraction
+) -> NetInfeasibleError:
+    """The refusal naming the gap (left, right) between targets; a gap at 8
+    or 9 has radius its whole width, any other half of it."""
+    radius = right - left if left == 8 or right == 9 else (right - left) / 2
+    return NetInfeasibleError(
+        f"targets with q <= {max_denominator} are not an epsilon/2-net: "
+        f"uncovered gap ({left}, {right}) with covering radius {radius} > {half}"
     )
-    return DensityCertificate(epsilon, entries)
+
+
+def density_certificate(
+    epsilon: Fraction | int | str,
+    exponent: int,
+    fiber_genus: int,
+    max_denominator: int,
+) -> DensityCertificate:
+    """Certify the epsilon-density of the achieved slopes in [8, 9], holding
+    the rows.
+
+    The rows are those of certificate_rows, with its refusals and checks;
+    the DensityCertificate they are collected into checks them again, with
+    the exact covering radius of the slopes.
+    """
+    return DensityCertificate(
+        epsilon, tuple(certificate_rows(epsilon, exponent, fiber_genus, max_denominator))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +441,12 @@ _CSV_ROW = ",".join(["%d"] * len(CSV_HEADER)) + "\n"
 
 
 def write_certificate_csv(
-    entries: "DensityCertificate | Sequence[ConvergenceReport]", stream: IO[str]
+    entries: "DensityCertificate | Iterable[ConvergenceReport]", stream: IO[str]
 ) -> None:
+    """The header, then one line per row as the rows pass."""
     if isinstance(entries, DensityCertificate):
         entries = entries.entries
     stream.write(",".join(CSV_HEADER) + "\n")
-    # streamed, one row at a time
     stream.writelines(map(_CSV_ROW.__mod__, entries))
 
 
@@ -378,13 +455,14 @@ def _two_decimals(value: Fraction) -> str:
     return "%d.%02d" % divmod(round(value * 100), 100)
 
 
-def write_slope_svg(entries: Sequence[ConvergenceReport], stream: IO[str]) -> None:
+def write_slope_svg(entries: Iterable[ConvergenceReport], stream: IO[str]) -> None:
     """Scatter plot (n, achieved slope) as a self-contained SVG.
 
     Hand-rolled so identical inputs yield byte-identical files.  Each
     coordinate is an exact Fraction, printed to two decimals rounded half
     to even.
     """
+    entries = tuple(entries)  # read twice: for the scale, then for the points
     width, height, margin = 640, 400, 50
     max_n = max(entry.n for entry in entries)
 

@@ -1,19 +1,23 @@
 """Slope sequences, convergence, and density certificates."""
 
+import contextlib
 import io
+import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from slopekit.cli import main
+from slopekit.cli import _density_json, _density_text, main
 from slopekit.density import (
     CSV_HEADER,
     DensityCertificate,
     InvalidTargetError,
     NetInfeasibleError,
     TargetSlope,
+    certificate_rows,
     convergence_report,
     covering_radius,
     density_certificate,
@@ -555,3 +559,146 @@ def test_svg_emission_is_deterministic():
     assert one.getvalue() == two.getvalue()
     assert one.getvalue().startswith("<svg ")
     assert one.getvalue().count("<circle") == len(cert.entries)
+
+
+def test_svg_from_a_row_stream_equals_the_certificate_svg():
+    cert = density_certificate(Fraction(1, 10), 1, 19, 20)
+    held, streamed, iterated = io.StringIO(), io.StringIO(), io.StringIO()
+    write_slope_svg(cert.entries, held)
+    write_slope_svg(certificate_rows(Fraction(1, 10), 1, 19, 20), streamed)
+    write_slope_svg(iter(cert.entries), iterated)
+    assert streamed.getvalue() == iterated.getvalue() == held.getvalue()
+    assert held.getvalue().count("<circle") == len(cert.entries) == 127
+
+
+def test_certificate_rows_refuse_when_called_before_any_row(monkeypatch):
+    from slopekit import density
+
+    def no_walk(max_denominator):
+        raise AssertionError("the Farey walk ran before a refusal")
+
+    monkeypatch.setattr(density, "_farey_pairs", no_walk)
+    # each call breaks every later rule too: the earliest rule is the one named
+    for args, kind, message in [
+        ((0, 0, 1, 0), SlopekitError, "^epsilon must be positive$"),
+        ((Fraction(1, 100), 0, 1, 0), SlopekitError, "^max denominator must be >= 1$"),
+        ((Fraction(1, 100), 0, 1, 1), SlopekitError, "^exponent must be >= 1$"),
+        ((Fraction(1, 100), 1, 1, 1), SlopekitError, "^fiber genus must be >= 2$"),
+        ((Fraction(1, 100), 1, 19, 1), NetInfeasibleError, r"^no reduced p/q .* all of \(8, 9\)"),
+        ((Fraction(1, 100), 1, 19, 3), NetInfeasibleError, r"largest uncovered gap is \(8, 25/3\)"),
+    ]:
+        with pytest.raises(kind, match=message):
+            certificate_rows(*args)
+
+
+def test_a_late_wrong_slope_leaves_stdout_empty(monkeypatch, capsys):
+    from slopekit import density
+
+    slope_pair = density._family_slope_pair
+    for fmt in ("csv", "json", "text"):
+        calls = itertools.count(1)
+
+        def late_fault(d, k, g1):
+            num, den = slope_pair(d, k, g1)
+            # slope + 1: the 2,000th call, at row 1,996 (n = 1), is no longer within epsilon/2
+            return (num + den, den) if next(calls) == 2000 else (num, den)
+
+        monkeypatch.setattr(density, "_family_slope_pair", late_fault)
+        code = main(["density", "--epsilon", "1/120", "--max-denominator", "240", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        error = json.loads(captured.err)
+        assert error["type"] == "SlopekitError" and "closed form n=" in error["error"]
+
+
+@pytest.mark.parametrize("q_max", [4, 20, 240])
+def test_row_stream_computes_the_target_net(monkeypatch, capsys, q_max):
+    from slopekit import density
+
+    epsilon = Fraction(2, q_max)
+    cert = density_certificate(epsilon, 1, 19, q_max)
+    walk = density._farey_pairs
+
+    def skip_first(max_denominator):
+        pairs = walk(max_denominator)
+        next(pairs)  # the target 8 + 1/Q
+        return pairs
+
+    monkeypatch.setattr(density, "_farey_pairs", skip_first)
+    message = (
+        f"targets with q <= {q_max} are not an epsilon/2-net: uncovered gap "
+        f"(8, {8 + Fraction(1, q_max - 1)}) with covering radius 1/{q_max - 1} > 1/{q_max}"
+    )
+    rows = certificate_rows(epsilon, 1, 19, q_max)  # the closed-form radius 1/Q passes
+    with pytest.raises(NetInfeasibleError) as err:
+        list(rows)
+    assert str(err.value) == message
+    code = main(["density", "--epsilon", str(epsilon), "--max-denominator", str(q_max)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": message, "module": "density", "type": "NetInfeasibleError"
+    }
+    # The slopes alone still cover [8, 9] to epsilon, so the held rows pass
+    # the class's exact radius; the stream refuses the net it computes.
+    assert covering_radius(DensityCertificate(epsilon, cert.entries[1:])) <= epsilon
+
+
+@pytest.mark.parametrize("change, message", [
+    # the target 9 - 1/Q dropped: the last gap is (9 - 1/(Q - 1), 9)
+    (lambda pairs: pairs[:-1], "uncovered gap (332/37, 9) with covering radius 1/37 > 1/38"),
+    # a target repeated, or two swapped: the targets must ascend
+    (lambda pairs: pairs[:3] + pairs[2:], "target 289/36 does not lie above 289/36"),
+    (lambda pairs: pairs[:3] + pairs[4:2:-1] + pairs[5:], "target 281/35 does not lie above 273/34"),
+])
+def test_row_stream_refuses_targets_out_of_order_or_short_of_nine(monkeypatch, change, message):
+    from slopekit import density
+
+    walk = density._farey_pairs
+    monkeypatch.setattr(density, "_farey_pairs", lambda q_max: iter(change(list(walk(q_max)))))
+    with pytest.raises(SlopekitError, match=re.escape(message) + "$"):
+        list(certificate_rows(Fraction(1, 19), 1, 19, 38))
+
+
+@pytest.mark.parametrize("forge, message", [
+    # each member solved for epsilon, not epsilon/2
+    (lambda first, p, q, e, g1, a, b: first(p, q, e, g1, 2 * a, b),
+     r"^entry gap \S+ exceeds epsilon/2 1/38$"),
+    # a row that states a gap other than its own |slope - target|
+    (lambda first, p, q, e, g1, a, b: first(p, q, e, g1, a, b)._replace(gap_num=0, gap_den=1),
+     r"^entry for target 9 - 37/38 states gap 0, not \|"),
+])
+def test_row_stream_checks_each_gap(monkeypatch, forge, message):
+    from slopekit import density
+
+    first = density._first_member
+    monkeypatch.setattr(density, "_first_member", lambda *args: forge(first, *args))
+    # with g_F = 2 the target 1/2 needs n = 9 at epsilon/2 = 1/38, so the gaps are not all small
+    with pytest.raises(SlopekitError, match=message):
+        list(certificate_rows(Fraction(1, 19), 1, 2, 38))
+
+
+def test_row_stream_matches_the_certificate_and_its_renderings():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(2, 60), st.integers(1, 3), st.booleans())
+    def check(q_max, exponent, tight):
+        epsilon = Fraction(2, q_max) if tight else Fraction(1, q_max // 2)
+        entries = density_certificate(epsilon, exponent, 19, q_max).entries
+        assert tuple(certificate_rows(epsilon, exponent, 19, q_max)) == entries
+        csv_text = io.StringIO()
+        write_certificate_csv(entries, csv_text)
+        for fmt, expected in [
+            ("csv", csv_text.getvalue()),
+            ("json", _density_json(epsilon, entries)),
+            ("text", _density_text(epsilon, entries)),
+        ]:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["density", "--epsilon", str(epsilon), "--max-denominator",
+                             str(q_max), "--exponent", str(exponent), "--format", fmt])
+            assert code == 0 and out.getvalue() == expected
+
+    check()
