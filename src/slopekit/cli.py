@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -458,15 +459,12 @@ def _cmd_density(args: argparse.Namespace) -> int:
     genus = surfaces.cartwright_steger_profile()[1].fiber_genus
     if args.target is not None:
         entries = [density_mod.convergence_report(args.target, args.exponent, genus, args.epsilon)]
-    elif args.plot:
-        # The plot reads the rows a second time, so they are held.
-        entries = density_mod.density_certificate(
-            args.epsilon, args.exponent, genus, args.max_denominator
-        ).entries
     else:
         entries = density_mod.certificate_rows(
             args.epsilon, args.exponent, genus, args.max_denominator
         )
+        if args.plot:
+            entries = tuple(entries)  # the plot reads the rows a second time
 
     if args.fmt == "csv":
         buffer = StringIO()
@@ -476,11 +474,18 @@ def _cmd_density(args: argparse.Namespace) -> int:
         render = _density_json if args.fmt == "json" else _density_text
         payload = render(args.epsilon, entries)
 
-    # The plot goes first, so a plot path that cannot be written leaves stdout empty.
+    # The plot goes first, so a plot path that cannot be written leaves stdout
+    # empty; output that cannot be written then removes the plot, so a failed
+    # command leaves no file behind.
     if args.plot:
         with open(args.plot, "w", encoding="utf-8") as handle:
             density_mod.write_slope_svg(entries, handle)
-    _emit(args, payload)
+    try:
+        _emit(args, payload)
+    except OSError:
+        if args.plot:
+            os.remove(args.plot)
+        raise
     return 0
 
 

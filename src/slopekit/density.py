@@ -22,8 +22,10 @@ then checks each row as it streams past: its gap is at most epsilon/2, and
 its target lies within epsilon of the one before (epsilon/2 at the two
 ends), so the targets' net is computed from the rows themselves and the
 slopes' radius follows by the triangle inequality, with no sort and no row
-held.  `DensityCertificate` holds the rows and re-checks any it is given,
-sorting them first if need be.  No floating point enters any comparison.
+held.  That stream is the only source of certificate rows:
+`DensityCertificate` is built from the stream's four arguments and holds
+the rows it yields, so no caller can hand rows in, and nothing checks them
+twice.  No floating point enters any comparison.
 An entry is the row of 12 integers that every output format prints; its
 TargetSlope, FamilyParams and Fractions are built only when a library
 caller reads the properties that name them.
@@ -31,7 +33,7 @@ caller reads the properties that name them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -249,44 +251,24 @@ def _exact_key(pairs: Sequence[tuple[int, int]]) -> Callable[[tuple[int, int]], 
 class DensityCertificate:
     """Achieved slopes forming an epsilon-net of [8, 9], exactly.
 
-    Entries are sorted by target value.  Construction re-verifies that every
-    entry gap is the distance |slope - target| of its own row and at most
-    epsilon, and that the covering radius of the achieved slopes over
-    [8, 9] is at most epsilon.  Every check compares
-    the integer numerators and denominators of the entry rows.
+    Built from the arguments of certificate_rows, whose refusals and
+    per-row checks it inherits; `entries` holds the rows that stream
+    yields, in target order, and is never taken from the caller.  Each row
+    comes from its family by construction, so the certificate checks
+    nothing again.  covering_radius computes the slopes' exact radius on
+    request.
     """
 
     epsilon: Fraction
-    entries: tuple[ConvergenceReport, ...]
+    exponent: int
+    fiber_genus: int
+    max_denominator: int
+    entries: tuple[ConvergenceReport, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
-        entries = tuple(self.entries)
-        if not entries:
-            raise NetInfeasibleError("a certificate needs at least one entry")
-        # One pass over the rows checks each gap and notes whether the
-        # targets already ascend.
-        a, b = self.epsilon.numerator, self.epsilon.denominator
-        ascending = True
-        last_num, last_den = entries[0].target_num, entries[0].target_den
-        for entry in entries:
-            _check_gap(entry)
-            _, _, t_num, t_den, _, _, _, _, _, _, gap_num, gap_den = entry
-            if gap_num * b > a * gap_den:
-                raise SlopekitError(f"entry gap {entry.gap} exceeds epsilon {self.epsilon}")
-            if last_num * t_den > t_num * last_den:
-                ascending = False
-            last_num, last_den = t_num, t_den
-        if not ascending:
-            targets = [(entry.target_num, entry.target_den) for entry in entries]
-            key = _exact_key(targets)
-            entries = tuple(e for _, e in sorted(zip(targets, entries), key=lambda te: key(te[0])))
-        object.__setattr__(self, "entries", entries)
-        radius = covering_radius(self)
-        if _exceeds(radius, self.epsilon):
-            raise SlopekitError(
-                f"achieved slopes cover [8, 9] only to radius {radius} > epsilon"
-            )
+        object.__setattr__(self, "entries", tuple(certificate_rows(
+            self.epsilon, self.exponent, self.fiber_genus, self.max_denominator)))
 
 
 def _widest_gap(values: Sequence[tuple[int, int]]) -> Fraction:
@@ -306,7 +288,8 @@ def _widest_gap(values: Sequence[tuple[int, int]]) -> Fraction:
 
 
 def covering_radius(certificate: DensityCertificate) -> Fraction:
-    """Exact sup over [8, 9] of the distance to the achieved slopes."""
+    """Exact sup over [8, 9] of the distance to the achieved slopes, computed
+    on request: one sort of the slopes by an exact integer key, then one pass."""
     slopes = [(e.slope_num, e.slope_den) for e in certificate.entries]
     slopes.sort(key=_exact_key(slopes))
     return _widest_gap(slopes)
@@ -417,15 +400,8 @@ def density_certificate(
     max_denominator: int,
 ) -> DensityCertificate:
     """Certify the epsilon-density of the achieved slopes in [8, 9], holding
-    the rows.
-
-    The rows are those of certificate_rows, with its refusals and checks;
-    the DensityCertificate they are collected into checks them again, with
-    the exact covering radius of the slopes.
-    """
-    return DensityCertificate(
-        epsilon, tuple(certificate_rows(epsilon, exponent, fiber_genus, max_denominator))
-    )
+    the rows: the rows of certificate_rows, with its refusals and checks."""
+    return DensityCertificate(epsilon, exponent, fiber_genus, max_denominator)
 
 
 # ---------------------------------------------------------------------------

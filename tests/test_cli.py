@@ -247,6 +247,24 @@ def test_density_plot(capsys, tmp_path):
     assert content.startswith("<svg ") and content.rstrip().endswith("</svg>")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_density_plot_leaves_the_output_unchanged(capsys, tmp_path, fmt):
+    argv = ["density", "--epsilon", "1/10", "--max-denominator", "20", "--format", fmt]
+    plain = run_cli(capsys, *argv)
+    plot = tmp_path / "slopes.svg"
+    assert run_cli(capsys, *argv, "--plot", str(plot)) == plain
+    assert plain[0] == 0 and plot.read_text().count("<circle") == 127
+
+
+def test_output_that_cannot_be_written_removes_the_plot(capsys, tmp_path):
+    plot, out = tmp_path / "p.svg", tmp_path / "nodir" / "o.csv"
+    code, stdout, err = run_cli(capsys, "density", "--epsilon", "1/4", "--max-denominator", "8",
+                                "--out", str(out), "--plot", str(plot))
+    assert code == 1 and stdout == ""
+    assert_single_json_error(err, "FileNotFoundError", str(out))
+    assert not plot.exists() and not out.parent.exists()
+
+
 def test_out_flag_writes_file(capsys, torus_file, tmp_path):
     out_path = tmp_path / "h1.json"
     code, out, _ = run_cli(
@@ -632,9 +650,10 @@ def test_output_path_errors_are_json(capsys, tmp_path, argv):
 
 
 def test_cli_contract_on_generated_commands(tmp_path):
-    """Every generated command either succeeds, with empty stderr and stdout
-    that parses in its format, or fails with empty stdout and one JSON error
-    object (or, at exit 2, an argparse usage message) on stderr."""
+    """Every generated command either succeeds, with empty stderr and output
+    that parses in its format, or fails with empty stdout, no file written,
+    and one JSON error object (or, at exit 2, an argparse usage message) on
+    stderr."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     presentations = {
@@ -696,6 +715,9 @@ def test_cli_contract_on_generated_commands(tmp_path):
         st.integers(-1, 8), min_size=1, max_size=5
     ).map(lambda ws: ",".join(map(str, ws))) | st.sampled_from(["x", "", "1,,0"])
     text_formats = st.sampled_from(["text", "json"] * 4 + ["csv"])
+    # density writes these two files, or a path that cannot be written
+    plot, out_file = tmp_path / "plot.svg", tmp_path / "out.txt"
+    unwritable = [str(tmp_path / "nope" / "file"), str(tmp_path)]
     # subcommand -> (required flags, optional flags); one flag of a tuple is drawn
     flags = {
         "abelianize": ([{"--input": inputs}], {"--format": text_formats}),
@@ -714,7 +736,9 @@ def test_cli_contract_on_generated_commands(tmp_path):
             [{"--epsilon": fraction},
              {"--max-denominator": numbers(-1, 16), "--target": fraction}],
             {"--exponent": numbers(-1, 8),
-             "--format": st.sampled_from(["csv", "json", "text"] * 3 + ["x"])},
+             "--format": st.sampled_from(["csv", "json", "text"] * 3 + ["x"]),
+             "--plot": st.sampled_from([str(plot)] * 2 + unwritable),
+             "--out": st.sampled_from([str(out_file)] * 2 + unwritable)},
         ),
     }
 
@@ -734,11 +758,23 @@ def test_cli_contract_on_generated_commands(tmp_path):
 
     @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
     @hypothesis.given(commands())
+    # a certificate and its plot are made before the output path fails
+    @hypothesis.example(["density", "--epsilon", "1/4", "--max-denominator", "8",
+                         "--plot", str(plot), "--out", unwritable[0]])
+    @hypothesis.example(["density", "--epsilon", "1/10", "--target", "1/2", "--format", "json",
+                         "--out", unwritable[1], "--plot", str(plot)])
     def check(argv):
+        plot.unlink(missing_ok=True)
+        out_file.unlink(missing_ok=True)
         code, out, err = outcome(main, argv)
         out, err = out.decode(), err.decode()
         if code == 0:
             assert err == "", argv
+            if "--out" in argv:
+                assert out == "", argv
+                out = out_file.read_text()
+            if "--plot" in argv:
+                assert plot.read_text().startswith("<svg "), argv
             fmt = argv[argv.index("--format") + 1] if "--format" in argv else (
                 "csv" if argv[0] == "density" else "text"
             )
@@ -753,6 +789,7 @@ def test_cli_contract_on_generated_commands(tmp_path):
                 assert out.endswith("\n") and out.strip(), argv
             return
         assert out == "", argv
+        assert not plot.exists() and not out_file.exists(), argv
         if code == 2 and err.startswith("usage: slopekit"):
             return
         error = json.loads(err)  # exactly one JSON object, no traceback
