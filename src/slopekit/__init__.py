@@ -44,7 +44,6 @@ from .group_core import (
     LaurentPolynomial,
     MalformedWordError,
     TorsionInAbelianizationError,
-    Word,
     abelianization,
     abelianized_exponents,
     alexander_matrix,

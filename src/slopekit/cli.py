@@ -32,10 +32,10 @@ from .errors import SlopekitError
 from .group_core import (
     GroupPresentation,
     LaurentPolynomial,
-    Word,
     abelianization,
     alexander_matrix,
     free_abelianization,
+    free_reduce,
 )
 from .jumping_loci import (
     JumpingLocusReport,
@@ -58,9 +58,12 @@ class InputFileError(SlopekitError):
 # Presentation ingestion
 
 
-def _letters_from_tokens(
+def _relator(
     tokens: Sequence[str], letter_to_index: Mapping[str, int], where: str
-) -> list[int]:
+) -> tuple[int, ...]:
+    """The freely reduced relator a token list spells, uppercase for an
+    inverse.  Both presentation formats read every relator here, so they
+    share each check and its message."""
     letters = []
     for tok in tokens:
         if not isinstance(tok, str) or len(tok) != 1 or not tok.isalpha():
@@ -69,7 +72,10 @@ def _letters_from_tokens(
         if idx is None:
             raise PresentationParseError(f"{where}: unknown letter {tok!r}")
         letters.append(-idx if tok.isupper() else idx)
-    return letters
+    relator = free_reduce(letters)
+    if not relator:
+        raise PresentationParseError(f"{where}: relator reduces to the empty word")
+    return relator
 
 
 def _generator_table(names: Sequence[str], where: str) -> dict[str, int]:
@@ -93,7 +99,7 @@ def parse_presentation(source: str) -> GroupPresentation:
     order.  Blank lines and ``#`` comments are skipped.
     """
     table: dict[str, int] | None = None
-    relators: list[Word] = []
+    relators: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(source.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -106,10 +112,7 @@ def parse_presentation(source: str) -> GroupPresentation:
         elif line.startswith("relator:"):
             if table is None:
                 raise PresentationParseError(f"{where}: relator before the generators line")
-            word = Word(tuple(_letters_from_tokens(line[len("relator:"):].split(), table, where)))
-            if not word.letters:
-                raise PresentationParseError(f"{where}: relator reduces to the empty word")
-            relators.append(word)
+            relators.append(_relator(line[len("relator:"):].split(), table, where))
         else:
             raise PresentationParseError(
                 f"{where}: expected 'generators:' or 'relator:', got {line!r}"
@@ -134,11 +137,7 @@ def presentation_from_json_dict(data: Mapping) -> GroupPresentation:
         where = f"relator {i + 1}"
         if not isinstance(rel, (str, list)):
             raise PresentationParseError(f"{where}: not a string or a list of tokens: {rel!r}")
-        tokens = rel.split() if isinstance(rel, str) else rel
-        word = Word(tuple(_letters_from_tokens(tokens, table, where)))
-        if not word.letters:
-            raise PresentationParseError(f"{where}: relator reduces to the empty word")
-        relators.append(word)
+        relators.append(_relator(rel.split() if isinstance(rel, str) else rel, table, where))
     return GroupPresentation(len(table), tuple(relators))
 
 

@@ -32,7 +32,6 @@ from .errors import SlopekitError, _json_int
 from .group_core import (
     GroupPresentation,
     IntegerMatrix,
-    Word,
     abelianization,
     free_abelianization,
     smith_normal_form,
@@ -257,7 +256,7 @@ def reidemeister_schreier(
         steps[-i - 1] = (inverse, [-labels[src] for src in inverse])
     walks = [[steps[letter] for letter in rel] for rel in presentation.relators]
 
-    sub_relators: list[Word] = []
+    sub_relators: list[tuple[int, ...]] = []
     for c in range(d):
         for walk in walks:
             stack: list[int] = []
@@ -272,7 +271,7 @@ def reidemeister_schreier(
                         stack.append(gen)
             if cur != c:
                 raise SlopekitError("relator does not stabilize its coset; action is inconsistent")
-            sub_relators.append(Word._from_reduced(tuple(stack)))
+            sub_relators.append(tuple(stack))
 
     sub = GroupPresentation(generators, tuple(sub_relators))
     return SubgroupPresentation(presentation=sub, ambient=presentation, index=d)

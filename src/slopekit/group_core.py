@@ -1,14 +1,15 @@
 """Finitely presented groups, abelianization, and Fox calculus.
 
-Words in a finitely presented group are stored as sequences of signed
-generator indices (``+i`` for the i-th generator, ``-i`` for its inverse,
-indices starting at 1) and are kept freely reduced from the moment they are
-built.  Abelianization is computed from the Smith normal form of the
-generator/relator exponent matrix, over exact integers, after eliminating
-its graph columns by union-find and its other unit entries sparsely; the
-row transform of the Smith normal form
-supplies the map onto the maximal free abelian quotient Z^b that underlies
-both the symbolic Alexander matrix (Fox derivatives with letters sent to
+A word is a tuple of signed generator indices (``+i`` for the i-th
+generator, ``-i`` for its inverse, indices starting at 1).  A presentation's
+relators are such tuples, checked and freely reduced once, by one
+:func:`free_reduce` pass when the :class:`GroupPresentation` is built;
+every reader takes them as plain tuples.  Abelianization is computed from
+the Smith normal form of the generator/relator exponent matrix, over exact
+integers, after eliminating its graph columns by union-find and its other
+unit entries sparsely; the row transform of the Smith normal form supplies
+the map onto the maximal free abelian quotient Z^b that underlies both the
+symbolic Alexander matrix (Fox derivatives with letters sent to
 monomials t_1..t_b) and the character evaluations performed elsewhere.
 
 Everything here is pure and immutable; no floating point is used anywhere.
@@ -19,13 +20,14 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import SlopekitError
 
 
 class MalformedWordError(SlopekitError):
-    """A word contains a zero letter or an index outside 1..generator_count."""
+    """A word contains a zero or non-int letter, or an index outside
+    1..generator_count."""
 
 
 class TorsionInAbelianizationError(SlopekitError):
@@ -39,10 +41,11 @@ class TorsionInAbelianizationError(SlopekitError):
 def free_reduce(letters: Iterable[int], generator_count: int | None = None) -> tuple[int, ...]:
     """Freely reduce a letter sequence, cancelling adjacent x x^-1 pairs.
 
-    Letters are nonzero signed generator indices.  When ``generator_count``
-    is given, indices out of range raise :class:`MalformedWordError`.
-    The result is the unique freely reduced form, so the function is
-    idempotent and never lengthens its input.
+    Letters are nonzero signed generator indices; ``True`` and ``False``
+    are not letters.  When ``generator_count`` is given, indices out of
+    range raise :class:`MalformedWordError`.  The result is the unique
+    freely reduced form, so the function is idempotent and never
+    lengthens its input.
 
     >>> free_reduce([1, -1, 2])
     (2,)
@@ -53,7 +56,11 @@ def free_reduce(letters: Iterable[int], generator_count: int | None = None) -> t
     """
     stack: list[int] = []
     for letter in letters:
-        if not isinstance(letter, int) or letter == 0:
+        # A plain int passes on its class alone; True and False are ints to
+        # isinstance, but not letters.
+        if letter.__class__ is not int and (
+            isinstance(letter, bool) or not isinstance(letter, int)
+        ) or letter == 0:
             raise MalformedWordError(f"invalid letter {letter!r}: want nonzero signed index")
         if generator_count is not None and abs(letter) > generator_count:
             raise MalformedWordError(
@@ -66,32 +73,7 @@ def free_reduce(letters: Iterable[int], generator_count: int | None = None) -> t
     return tuple(stack)
 
 
-@dataclass(frozen=True)
-class Word:
-    """A freely reduced word; the empty word is the identity."""
-
-    letters: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        # Reduction happens once, here; equality afterwards is plain
-        # tuple comparison.
-        object.__setattr__(self, "letters", free_reduce(self.letters))
-
-    @classmethod
-    def _from_reduced(cls, letters: tuple[int, ...]) -> "Word":
-        """Wrap letters already known to be freely reduced without re-reducing."""
-        word = object.__new__(cls)
-        object.__setattr__(word, "letters", letters)
-        return word
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
-
-
-def abelianized_exponents(word: Word | Iterable[int], generator_count: int) -> tuple[int, ...]:
+def abelianized_exponents(word: Iterable[int], generator_count: int) -> tuple[int, ...]:
     """Total signed exponent of each generator: the image under G -> H1.
 
     >>> abelianized_exponents([1, 2, 1, -2], 2)
@@ -111,10 +93,13 @@ def abelianized_exponents(word: Word | Iterable[int], generator_count: int) -> t
 
 @dataclass(frozen=True)
 class GroupPresentation:
-    """Generators 1..g and a tuple of freely reduced relator words."""
+    """Generators 1..g and a tuple of relators, each a freely reduced tuple
+    of signed generator indices.  Any iterables of ints are accepted;
+    construction checks and reduces each one in one :func:`free_reduce`
+    pass, which refuses a zero, a non-int or an out-of-range letter."""
 
     generator_count: int
-    relators: tuple[Word, ...] = ()
+    relators: tuple[tuple[int, ...], ...] = ()
     # Presentations key the per-presentation caches.  A scan hashes its
     # presentation once, but every twisted_h1 call outside a scan looks up
     # the evaluator cache, so the hash is taken once, at construction.
@@ -123,14 +108,9 @@ class GroupPresentation:
     def __post_init__(self) -> None:
         if self.generator_count < 0:
             raise MalformedWordError("generator count must be nonnegative")
-        words = tuple(r if isinstance(r, Word) else Word(tuple(r)) for r in self.relators)
-        for w in words:
-            if max(map(abs, w.letters), default=0) > self.generator_count:
-                raise MalformedWordError(
-                    f"relator {w.letters} exceeds generator range 1..{self.generator_count}"
-                )
-        object.__setattr__(self, "relators", words)
-        object.__setattr__(self, "_hash", hash((self.generator_count, words)))
+        relators = tuple(free_reduce(r, self.generator_count) for r in self.relators)
+        object.__setattr__(self, "relators", relators)
+        object.__setattr__(self, "_hash", hash((self.generator_count, relators)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -160,7 +140,7 @@ def surface_group(genus: int) -> GroupPresentation:
     for h in range(genus):
         a, b = 2 * h + 1, 2 * h + 2
         rel += [a, b, -a, -b]
-    return GroupPresentation(2 * genus, (Word(tuple(rel)),))
+    return GroupPresentation(2 * genus, (tuple(rel),))
 
 
 def torus_group() -> GroupPresentation:
@@ -169,11 +149,11 @@ def torus_group() -> GroupPresentation:
 
 def trefoil_group() -> GroupPresentation:
     """Trefoil knot group <x, y | xyx = yxy>."""
-    return GroupPresentation(2, (Word((1, 2, 1, -2, -1, -2)),))
+    return GroupPresentation(2, ((1, 2, 1, -2, -1, -2),))
 
 
 def cyclic_group(order: int) -> GroupPresentation:
-    return GroupPresentation(1, (Word(tuple([1] * order)),))
+    return GroupPresentation(1, ((1,) * order,))
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +526,7 @@ class LaurentPolynomial:
         return out[2:] if out.startswith("+ ") else "-" + out[2:]
 
 
-def fox_derivative(presentation: GroupPresentation, word: Word | Iterable[int], index: int) -> LaurentPolynomial:
+def fox_derivative(presentation: GroupPresentation, word: Iterable[int], index: int) -> LaurentPolynomial:
     """Fox free derivative d(word)/d(x_index), abelianized to Z[t_1..t_b].
 
     Satisfies dx_i/dx_i = 1, dx_j/dx_i = 0 for j != i,

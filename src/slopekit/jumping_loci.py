@@ -453,7 +453,7 @@ class _Evaluator:
         self.images = fa.generator_images
         self.pick = _basis_lookup(self.images)
         self.steps = tuple(
-            tuple((abs(letter) - 1, letter > 0) for letter in word.letters)
+            tuple((abs(letter) - 1, letter > 0) for letter in word)
             for word in presentation.relators
         )
         self.generator_count = g

@@ -21,9 +21,9 @@ from slopekit.group_core import (
     GroupPresentation,
     IntegerMatrix,
     LaurentPolynomial,
-    Word,
     abelianized_exponents,
     free_abelianization,
+    free_reduce,
     smith_normal_form,
 )
 from slopekit.jumping_loci import (
@@ -277,7 +277,7 @@ def reference_reidemeister_schreier(presentation, alpha):
     """Presentation of ker(alpha) by Schreier rewriting, edge by edge: a BFS
     spanning tree over the cosets as a set of (coset, generator) pairs, the
     other edges numbered in (coset, generator) order, and each relator lift
-    reduced by ``Word``."""
+    reduced by ``free_reduce``."""
     perms = coset_action(presentation, alpha)
     g = presentation.generator_count
     d = alpha.order
@@ -325,7 +325,7 @@ def reference_reidemeister_schreier(presentation, alpha):
                         letters.append(-new_index[edge])
             if cur != c:
                 raise SlopekitError("relator does not stabilize its coset")
-            sub_relators.append(Word(tuple(letters)))
+            sub_relators.append(free_reduce(letters))
 
     return SubgroupPresentation(
         presentation=GroupPresentation(len(new_index), tuple(sub_relators)),

@@ -20,7 +20,7 @@ from slopekit.cli import (
     presentation_from_json_dict,
 )
 from slopekit.errors import SlopekitError
-from slopekit.group_core import GroupPresentation, Word, torus_group, trefoil_group
+from slopekit.group_core import GroupPresentation, free_reduce, torus_group, trefoil_group
 
 TORUS_TEXT = "generators: a b\nrelator: a b A B\n"
 TREFOIL_TEXT = "generators: x y\nrelator: x y x Y X Y\n"
@@ -56,11 +56,20 @@ def test_parse_skips_blanks_and_comments():
         ("generators: A\n", "line 1: generator names"),
         ("nonsense\n", "line 1: expected"),
         ("", "missing generators line"),
+        # the JSON mirror reads its relators through the same check
+        ({"generators": ["a", "b"], "relators": [["a", "A"]]},
+         "relator 1: relator reduces to the empty word"),
+        ({"generators": ["a", "b"], "relators": ["b", "a A"]},
+         "relator 2: relator reduces to the empty word"),
+        ({"generators": ["a"], "relators": [["a"], ["a", "q"]]}, "relator 2: unknown letter 'q'"),
+        ({"generators": ["a"], "relators": [["ab"]]}, "relator 1: invalid token 'ab'"),
     ],
 )
 def test_parse_errors_carry_line_numbers(source, fragment):
+    """A text error names its line, a JSON error its relator."""
+    parse = presentation_from_json_dict if isinstance(source, dict) else parse_presentation
     with pytest.raises(PresentationParseError) as err:
-        parse_presentation(source)
+        parse(source)
     assert fragment in str(err.value)
 
 
@@ -72,6 +81,38 @@ def test_presentation_json_mirror():
     assert presentation_from_json_dict(data) == trefoil_group()
     with pytest.raises(PresentationParseError):
         presentation_from_json_dict({"generators": ["a"]})
+
+
+def test_text_and_json_parse_to_one_presentation():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def presentations(draw):
+        names = draw(st.permutations("abcdxyz"))[:draw(st.integers(1, 4))]
+        letter = st.integers(1, len(names)).flatmap(lambda i: st.sampled_from((i, -i)))
+        word = st.lists(letter, min_size=1, max_size=10).filter(free_reduce)
+        return names, draw(st.lists(word, max_size=3))
+
+    def token(letter, names):
+        name = names[abs(letter) - 1]
+        return name if letter > 0 else name.upper()
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(presentations(), st.booleans())
+    def check(case, as_strings):
+        names, words = case
+        relators = [[token(letter, names) for letter in w] for w in words]
+        text = "generators: " + " ".join(names) + "\n" + "".join(
+            "relator: " + " ".join(tokens) + "\n" for tokens in relators)
+        data = {"generators": names,
+                "relators": [" ".join(t) for t in relators] if as_strings else relators}
+        presentation = parse_presentation(text)
+        assert presentation == presentation_from_json_dict(data)
+        assert presentation.generator_count == len(names)
+        assert presentation.relators == tuple(free_reduce(w) for w in words)
+
+    check()
 
 
 def test_load_presentation_sniffs_format(tmp_path):
@@ -706,6 +747,9 @@ def test_cli_contract_on_generated_commands(tmp_path):
         return st.sampled_from([*map(str, range(low, high + 1)), "x", ""])
 
     fraction = st.sampled_from(["1/4", "1/10", "2/3", "1/2", "0", "-1", "x", "1/0", ""])
+    # (epsilon, Q) pairs whose certificate exists: epsilon = 1/K, 2K <= Q <= 2K + 3
+    feasible = st.integers(1, 12).flatmap(lambda k: st.tuples(
+        st.just(f"1/{k}"), st.integers(2 * k, 2 * k + 3).map(str)))
     characters = st.builds(
         lambda m, exps: "%d:%s" % (m, ",".join(map(str, exps))),
         st.integers(-1, 12), st.lists(st.integers(-2, 12), max_size=4),
@@ -747,6 +791,10 @@ def test_cli_contract_on_generated_commands(tmp_path):
         name = draw(st.sampled_from(sorted(flags)))
         required, optional = flags[name]
         pairs = []
+        if name == "density" and draw(st.integers(0, 3)):  # the pools' values for the rest
+            epsilon, max_denominator = draw(feasible)
+            pairs += [["--epsilon", epsilon], ["--max-denominator", max_denominator]]
+            required = []
         for options in required:
             flag = draw(st.sampled_from(sorted(options)))
             if draw(st.integers(0, 19)):  # now and then a required flag is left out

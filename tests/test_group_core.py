@@ -12,7 +12,6 @@ from slopekit.group_core import (
     LaurentPolynomial,
     MalformedWordError,
     TorsionInAbelianizationError,
-    Word,
     abelianization,
     abelianized_exponents,
     alexander_matrix,
@@ -93,9 +92,9 @@ def test_free_reduce_idempotent_and_never_longer():
 
 
 def test_word_is_stored_reduced():
-    w = Word((1, -1, 2))
-    assert w.letters == (2,)
-    assert Word((1, 2, -2, -1)) == Word(())
+    presentation = GroupPresentation(2, [(1, -1, 2), [1, 2, -2, -1]])
+    assert presentation.relators == ((2,), ())
+    assert presentation == GroupPresentation(2, ((2,), ()))
 
 
 def test_abelianized_exponents_examples():
@@ -376,7 +375,7 @@ def test_free_abelianization_cache_is_bounded():
     maxsize = free_abelianization.cache_info().maxsize
     assert maxsize is not None
     for n in range(1, maxsize + 10):
-        free_abelianization(GroupPresentation(1, (Word((1,) * n),)))
+        free_abelianization(GroupPresentation(1, ((1,) * n,)))
     assert free_abelianization.cache_info().currsize == maxsize
 
 
@@ -386,12 +385,12 @@ def test_free_abelianization_cache_is_bounded():
 
 def test_fox_derivative_examples():
     torus = torus_group()
-    commutator = Word((1, 2, -1, -2))
+    commutator = (1, 2, -1, -2)
     d_a = fox_derivative(torus, commutator, 1)
     assert d_a == LaurentPolynomial(2, {(0, 0): 1, (0, 1): -1})  # 1 - t2
 
     free1 = free_group(1)
-    assert fox_derivative(free1, Word((1,)), 1) == LaurentPolynomial(1, {(0,): 1})
+    assert fox_derivative(free1, (1,), 1) == LaurentPolynomial(1, {(0,): 1})
 
     trefoil = trefoil_group()
     d_x = fox_derivative(trefoil, trefoil.relators[0], 1)
@@ -406,7 +405,7 @@ def test_fox_derivative_inverse_rule():
 
 def test_fox_rejects_torsion():
     with pytest.raises(TorsionInAbelianizationError):
-        fox_derivative(cyclic_group(5), Word((1,)), 1)
+        fox_derivative(cyclic_group(5), (1,), 1)
 
 
 @pytest.mark.parametrize("presentation", [torus_group(), free_group(3)])
@@ -448,8 +447,18 @@ def test_alexander_matrix_at_one_is_exponent_matrix():
 
 
 def test_presentation_validates_relators():
-    with pytest.raises(MalformedWordError):
-        GroupPresentation(1, (Word((2,)),))
+    with pytest.raises(MalformedWordError, match="letter 2 out of range for 1 generators"):
+        GroupPresentation(1, ((2,),))
+
+
+@pytest.mark.parametrize("letters", [(True, 2, -1, -2), (1, 2, -1, False), (1, -1, True)])
+def test_a_bool_is_not_a_letter(letters):
+    with pytest.raises(MalformedWordError, match="invalid letter"):
+        GroupPresentation(2, [letters])
+    with pytest.raises(MalformedWordError, match="invalid letter"):
+        free_reduce(letters)
+    with pytest.raises(MalformedWordError, match="invalid letter"):
+        abelianized_exponents(letters, 2)
 
 
 def test_laurent_polynomial_arithmetic():

@@ -357,7 +357,7 @@ def test_one_relator_h1_matches_exact_elimination():
         g = presentation.generator_count
         evaluator = jumping_loci._evaluator(presentation)
         seen.add("g = 1" if g == 1 else "basis" if evaluator.pick is not None else "other")
-        used = {abs(x) for x in presentation.relators[0].letters}
+        used = {abs(x) for x in presentation.relators[0]}
         if len(used) < g:
             seen.add("omitted generator")
         if xi.modulus == 1:
