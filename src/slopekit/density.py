@@ -17,15 +17,17 @@ family per Farey target of denominator at most Q and checks, by integer
 cross-multiplication of numerators and denominators, that the achieved slopes
 leave no point of [8, 9] farther than epsilon away.  The targets can form the
 needed epsilon/2-net only when Q >= 2/epsilon: their covering radius is 1/Q
-in closed form, checked before any target is built.  `certificate_rows`
-then checks each row as it streams past: its gap is at most epsilon/2, and
-its target lies within epsilon of the one before (epsilon/2 at the two
-ends), so the targets' net is computed from the rows themselves and the
-slopes' radius follows by the triangle inequality, with no sort and no row
-held.  That stream is the only source of certificate rows:
-`DensityCertificate` is built from the stream's four arguments and holds
-the rows it yields, so no caller can hand rows in, and nothing checks them
-twice.  No floating point enters any comparison.
+in closed form, checked before any target is built.  Each row is computed
+and proven in one place, `_first_member`: its gap |slope - target| is at
+most epsilon/2 at n and more than epsilon/2 at n - 1.  `certificate_rows`
+then checks only what the stream alone knows: each target lies above the
+one before and within epsilon of it (epsilon/2 at the two ends), so the
+targets' net is computed from the rows themselves and the slopes' radius
+follows by the triangle inequality, with no sort and no row held.  That
+stream is the only source of certificate rows: `DensityCertificate` is
+built from the stream's four arguments and holds the rows it yields, so no
+caller can hand rows in, and nothing checks them twice.  No floating point
+enters any comparison.
 An entry is the row of 12 integers that every output format prints; its
 TargetSlope, FamilyParams and Fractions are built only when a library
 caller reads the properties that name them.
@@ -38,7 +40,7 @@ from fractions import Fraction
 from math import gcd
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import SlopekitError
+from .errors import SlopekitError, _json_int
 from .surface_invariants import FamilyParams
 
 
@@ -58,11 +60,12 @@ class TargetSlope:
     q: int
 
     def __post_init__(self) -> None:
-        if self.q < 1 or not 0 < self.p < self.q:
-            raise InvalidTargetError(f"need 0 < p < q, got p={self.p}, q={self.q}")
-        g = gcd(self.p, self.q)
-        object.__setattr__(self, "p", self.p // g)
-        object.__setattr__(self, "q", self.q // g)
+        p, q = _json_int(self.p), _json_int(self.q)
+        if q < 1 or not 0 < p < q:
+            raise InvalidTargetError(f"need 0 < p < q, got p={p}, q={q}")
+        g = gcd(p, q)
+        object.__setattr__(self, "p", p // g)
+        object.__setattr__(self, "q", q // g)
 
     @property
     def value_pair(self) -> tuple[int, int]:
@@ -178,19 +181,25 @@ def _first_member(
     p: int, q: int, exponent: int, genus_less_one: int, a: int, b: int
 ) -> ConvergenceReport:
     """convergence_report for epsilon = a/b, on arguments the caller has checked:
-    p/q reduced with 0 < p < q, a, b > 0, exponent >= 1 and g_F - 1 >= 1."""
+    p/q reduced with 0 < p < q, a, b > 0, exponent >= 1 and g_F - 1 >= 1.
+    The one place a row's gap |slope - target| meets a bound: it must exceed
+    a/b at n - 1 (when n > 1) and be at most a/b at n, else SlopekitError."""
     n = -((a * q - p * b) // (a * q * q * exponent * genus_less_one))
     if n < 1:
         n = 1
     value_num = 9 * q - p
-    for m in (n - 1, n) if n > 1 else (n,):
-        d, k = _member_indices(p, q, exponent, genus_less_one, m)
+    earlier_fits = False
+    if n > 1:
+        d, k = _member_indices(p, q, exponent, genus_less_one, n - 1)
         num, den = _family_slope_pair(d, k, genus_less_one)
-        gap_num = abs(num * q - value_num * den)
-        if (gap_num * b <= a * den * q) != (m == n):
-            raise SlopekitError(
-                f"closed form n={n} is not the first n with gap <= {Fraction(a, b)}"
-            )
+        earlier_fits = abs(num * q - value_num * den) * b <= a * den * q
+    d, k = _member_indices(p, q, exponent, genus_less_one, n)
+    num, den = _family_slope_pair(d, k, genus_less_one)
+    gap_num = abs(num * q - value_num * den)
+    if earlier_fits or gap_num * b > a * den * q:
+        raise SlopekitError(
+            f"closed form n={n} is not the first n with gap <= {Fraction(a, b)}"
+        )
     common, gap_den = gcd(num, den), den * q
     gap_common = gcd(gap_num, gap_den)
     # tuple.__new__ skips the named tuple's Python-level __new__ frame.
@@ -221,21 +230,6 @@ def convergence_report(
     )
 
 
-def _check_gap(entry: ConvergenceReport) -> None:
-    """Refuse a row whose stated gap is not |slope - target| of its own ints."""
-    _, _, t_num, t_den, _, _, _, _, s_num, s_den, gap_num, gap_den = entry
-    if gap_num * s_den * t_den != gap_den * abs(s_num * t_den - t_num * s_den):
-        raise SlopekitError(
-            f"entry for target 9 - {entry.p}/{entry.q} states gap {entry.gap}, "
-            f"not |{entry.achieved} - {t_num}/{t_den}|"
-        )
-
-
-def _exceeds(x: Fraction, bound: Fraction) -> bool:
-    """x > bound, by cross-multiplication (denominators are positive)."""
-    return x.numerator * bound.denominator > bound.numerator * x.denominator
-
-
 def _exact_key(pairs: Sequence[tuple[int, int]]) -> Callable[[tuple[int, int]], int]:
     """An integer sort key for values num/den (den >= 1) that orders them exactly.
 
@@ -252,7 +246,7 @@ class DensityCertificate:
     """Achieved slopes forming an epsilon-net of [8, 9], exactly.
 
     Built from the arguments of certificate_rows, whose refusals and
-    per-row checks it inherits; `entries` holds the rows that stream
+    checks it inherits; `entries` holds the rows that stream
     yields, in target order, and is never taken from the caller.  Each row
     comes from its family by construction, so the certificate checks
     nothing again.  covering_radius computes the slopes' exact radius on
@@ -312,15 +306,16 @@ def certificate_rows(
     NetInfeasibleError naming the gap (8, 8 + 1/Q).
 
     Each target then receives its first family member with gap at most
-    epsilon/2.  As the row passes, its gap is checked against its own slope
-    and target and against epsilon/2, and its target must lie above the one
-    before, within epsilon of it; the first target must lie within
-    epsilon/2 of 8 and the last within epsilon/2 of 9.  So every point of
-    [8, 9] is within epsilon/2 of a target, and by the triangle inequality
-    within epsilon of an achieved slope, once the rows are exhausted.  A row
-    that fails raises SlopekitError (NetInfeasibleError for an uncovered
-    gap) when it is reached, so a caller that must emit nothing on failure
-    emits only after the last row.
+    epsilon/2, computed and proven by _first_member: the gap is at most
+    epsilon/2 at n and more than epsilon/2 at n - 1.  The stream checks
+    only the order and the net: as the row passes, its target must lie
+    above the one before, within epsilon of it; the first target must lie
+    within epsilon/2 of 8 and the last within epsilon/2 of 9.  So every
+    point of [8, 9] is within epsilon/2 of a target, and by the triangle
+    inequality within epsilon of an achieved slope, once the rows are
+    exhausted.  A row that fails raises SlopekitError (NetInfeasibleError
+    for an uncovered gap) when it is reached, so a caller that must emit
+    nothing on failure emits only after the last row.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -341,7 +336,7 @@ def certificate_rows(
     # 1/(2bd) exceeds 1/(4(Q - 1)) < 1/Q.  The radius is 1/Q, and on the
     # tie the 8-end is the gap named.
     radius = Fraction(1, max_denominator)
-    if _exceeds(radius, half):
+    if radius > half:
         raise NetInfeasibleError(
             f"targets with q <= {max_denominator} are not an epsilon/2-net: "
             f"largest uncovered gap is (8, {8 + radius}) "
@@ -363,10 +358,7 @@ def _checked_rows(
     # reduced p = q - c descend as c/q ascends: 9 - p/q comes in value order.
     for c, q in _farey_pairs(max_denominator):
         row = _first_member(q - c, q, exponent, genus_less_one, a, b)
-        _check_gap(row)
         t_num, t_den = row[2], row[3]
-        if row[10] * b > a * row[11]:
-            raise SlopekitError(f"entry gap {row.gap} exceeds epsilon/2 {half}")
         width = t_num * last_den - last_num * t_den
         if width <= 0:
             raise SlopekitError(

@@ -18,11 +18,12 @@ Everything here is pure and immutable; no floating point is used anywhere.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import SlopekitError
+from .errors import SlopekitError, _json_int
 
 
 class MalformedWordError(SlopekitError):
@@ -106,11 +107,12 @@ class GroupPresentation:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.generator_count < 0:
-            raise MalformedWordError("generator count must be nonnegative")
-        relators = tuple(free_reduce(r, self.generator_count) for r in self.relators)
+        count = self.generator_count
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise MalformedWordError(f"generator count must be a nonnegative int, got {count!r}")
+        relators = tuple(free_reduce(r, count) for r in self.relators)
         object.__setattr__(self, "relators", relators)
-        object.__setattr__(self, "_hash", hash((self.generator_count, relators)))
+        object.__setattr__(self, "_hash", hash((count, relators)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -166,7 +168,7 @@ class IntegerMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence[int]], rows: int | None = None, cols: int | None = None):
-        data = tuple(tuple(int(x) for x in row) for row in entries)
+        data = tuple(tuple(map(operator.index, row)) for row in entries)
         self.rows = len(data) if rows is None else rows
         if cols is None:
             if not data:
@@ -300,9 +302,9 @@ class AbelianGroupStructure:
     torsion_coefficients: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.free_rank < 0:
+        if _json_int(self.free_rank) < 0:
             raise ValueError("free rank must be nonnegative")
-        coeffs = tuple(int(c) for c in self.torsion_coefficients)
+        coeffs = tuple(map(operator.index, self.torsion_coefficients))
         for c in coeffs:
             if c <= 1:
                 raise ValueError("torsion coefficients must exceed 1")
@@ -485,7 +487,7 @@ class LaurentPolynomial:
             if len(exps) != variables:
                 raise ValueError("exponent vector length mismatch")
             if coeff:
-                clean[tuple(int(e) for e in exps)] = int(coeff)
+                clean[tuple(map(operator.index, exps))] = operator.index(coeff)
         self.terms = clean
 
     def __eq__(self, other: object) -> bool:

@@ -66,9 +66,9 @@ class FibrationProfile:
     base_genus: int
 
     def __post_init__(self) -> None:
-        if self.fiber_genus < 2:
+        if _json_int(self.fiber_genus) < 2:
             raise SlopekitError("fiber genus must be >= 2")
-        if self.base_genus < 0:
+        if _json_int(self.base_genus) < 0:
             raise SlopekitError("base genus must be >= 0")
 
 
@@ -85,9 +85,9 @@ class FamilyParams:
     cover_exponent: int | None = None
 
     def __post_init__(self) -> None:
-        if self.d < 1 or self.k < 1:
+        if _json_int(self.d) < 1 or _json_int(self.k) < 1:
             raise SlopekitError("family parameters require d >= 1 and k >= 1")
-        if self.cover_exponent is not None and (self.d - 1) % self.cover_exponent:
+        if self.cover_exponent is not None and (self.d - 1) % _json_int(self.cover_exponent):
             raise SlopekitError(
                 f"d = {self.d} is not congruent to 1 mod {self.cover_exponent}"
             )
