@@ -6,8 +6,8 @@ whose fundamental group is ker(alpha).  Because alpha is abelian, the coset
 action of G on S is by translations, so no general coset enumeration is
 needed: a spanning tree of the coset graph is found by breadth-first search
 over S, and each relator is rewritten once per coset, through one flat table
-that numbers the edges of the coset graph.  The resulting presentation,
-after discarding the spanning-tree generators, gives the cover's first Betti number through
+that numbers the edges of the coset graph; GroupPresentation reduces each lift.
+The presentation, without the spanning-tree generators, gives the cover's b1 by
 plain abelianization - an independent route against which the jumping-locus
 computation can be cross-checked.  Its exponent matrix is sparse with mostly
 unit entries.  A generator that occurs once with exponent +1 in one relator
@@ -57,7 +57,7 @@ class AbelianEpimorphism:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.source_rank < 0:
+        if _json_int(self.source_rank) < 0:
             raise NotAnEpimorphismError("source rank must be nonnegative")
         try:
             factors = tuple(map(_json_int, self.factors))
@@ -207,8 +207,8 @@ def reidemeister_schreier(
 
     Edge (c, i), generator i leaving coset c, is slot c*g + i - 1 of one
     flat table holding its subgroup generator number, or 0 on the spanning
-    tree; the numbers follow the slots.  Each relator lift is freely reduced
-    on a stack as its letters are written.
+    tree; the numbers follow the slots.  Each relator lift is written
+    unreduced, and reduced once, by GroupPresentation.
     """
     perms = coset_action(presentation, alpha)
     g = presentation.generator_count
@@ -256,22 +256,18 @@ def reidemeister_schreier(
         steps[-i - 1] = (inverse, [-labels[src] for src in inverse])
     walks = [[steps[letter] for letter in rel] for rel in presentation.relators]
 
-    sub_relators: list[tuple[int, ...]] = []
+    sub_relators = []
     for c in range(d):
         for walk in walks:
-            stack: list[int] = []
+            lift = []
             cur = c
             for perm, labels in walk:
-                gen = labels[cur]
+                lift.append(labels[cur])
                 cur = perm[cur]
-                if gen:
-                    if stack and stack[-1] == -gen:
-                        stack.pop()
-                    else:
-                        stack.append(gen)
             if cur != c:
                 raise SlopekitError("relator does not stabilize its coset; action is inconsistent")
-            sub_relators.append(tuple(stack))
+            # spanning-tree edges read 0
+            sub_relators.append(filter(None, lift))
 
     sub = GroupPresentation(generators, tuple(sub_relators))
     return SubgroupPresentation(presentation=sub, ambient=presentation, index=d)

@@ -95,10 +95,21 @@ def _farey_pairs(max_denominator: int) -> Iterator[tuple[int, int]]:
 
 
 def _check_family(exponent: int, fiber_genus: int) -> None:
-    if exponent < 1:
+    if _json_int(exponent) < 1:
         raise SlopekitError("exponent must be >= 1")
-    if fiber_genus < 2:
+    if _json_int(fiber_genus) < 2:
         raise SlopekitError("fiber genus must be >= 2")
+
+
+def _epsilon(epsilon: Fraction | int | str) -> Fraction:
+    """The one reading of epsilon: exact, positive, never a bool."""
+    if not isinstance(epsilon, Fraction):
+        if isinstance(epsilon, bool) or not isinstance(epsilon, (int, str)):
+            raise TypeError(f"epsilon must be a Fraction, an int or a str, not {type(epsilon).__name__}")
+        epsilon = Fraction(epsilon)
+    if epsilon.numerator <= 0:
+        raise SlopekitError("epsilon must be positive")
+    return epsilon
 
 
 def sequence_params(
@@ -220,10 +231,7 @@ def convergence_report(
     slope and v/q the target, gap <= a/b reads |N q - v D| b <= a D q, which
     must hold at n* and fail at n* - 1, else SlopekitError.
     """
-    if not isinstance(epsilon, Fraction):
-        epsilon = Fraction(epsilon)
-    if epsilon.numerator <= 0:
-        raise SlopekitError("epsilon must be positive")
+    epsilon = _epsilon(epsilon)
     _check_family(exponent, fiber_genus)
     return _first_member(
         target.p, target.q, exponent, fiber_genus - 1, epsilon.numerator, epsilon.denominator
@@ -260,7 +268,7 @@ class DensityCertificate:
     entries: tuple[ConvergenceReport, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
+        object.__setattr__(self, "epsilon", _epsilon(self.epsilon))
         object.__setattr__(self, "entries", tuple(certificate_rows(
             self.epsilon, self.exponent, self.fiber_genus, self.max_denominator)))
 
@@ -317,10 +325,8 @@ def certificate_rows(
     for an uncovered gap) when it is reached, so a caller that must emit
     nothing on failure emits only after the last row.
     """
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise SlopekitError("epsilon must be positive")
-    if max_denominator < 1:
+    epsilon = _epsilon(epsilon)
+    if _json_int(max_denominator) < 1:
         raise SlopekitError("max denominator must be >= 1")
     _check_family(exponent, fiber_genus)
     half = epsilon / 2

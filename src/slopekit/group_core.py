@@ -168,6 +168,9 @@ class IntegerMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence[int]], rows: int | None = None, cols: int | None = None):
+        # one type scan per row: a call per entry would slow the Smith form
+        if any(bool in map(type, row) for row in entries):
+            raise TypeError("'bool' object cannot be interpreted as an integer")
         data = tuple(tuple(map(operator.index, row)) for row in entries)
         self.rows = len(data) if rows is None else rows
         if cols is None:
@@ -486,8 +489,9 @@ class LaurentPolynomial:
         for exps, coeff in (terms or {}).items():
             if len(exps) != variables:
                 raise ValueError("exponent vector length mismatch")
+            coeff = _json_int(coeff)
             if coeff:
-                clean[tuple(map(operator.index, exps))] = operator.index(coeff)
+                clean[tuple(map(_json_int, exps))] = coeff
         self.terms = clean
 
     def __eq__(self, other: object) -> bool:

@@ -203,10 +203,10 @@ class TorsionCharacter:
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        m = operator.index(self.modulus)
+        m = _json_int(self.modulus)
         if m < 1:
             raise CharacterDomainError("character modulus must be positive")
-        exps = tuple(operator.index(e) % m for e in self.exponents)
+        exps = tuple(_json_int(e) % m for e in self.exponents)
         g = gcd(m, *exps) if exps else m
         m //= g
         exps = tuple((e // g) % m for e in exps)
@@ -222,7 +222,7 @@ class TorsionCharacter:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "TorsionCharacter":
-        return cls(_json_int(data["modulus"]), tuple(map(_json_int, data["exponents"])))
+        return cls(data["modulus"], tuple(data["exponents"]))
 
 
 # ---------------------------------------------------------------------------
@@ -610,9 +610,12 @@ class JumpEntry:
     character: TorsionCharacter
     depth: int
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "depth", _json_int(self.depth))
+
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "JumpEntry":
-        return cls(TorsionCharacter.from_json_dict(data), _json_int(data["depth"]))
+        return cls(TorsionCharacter.from_json_dict(data), data["depth"])
 
 
 # The slots of the frozen value classes, written through their member
@@ -659,12 +662,10 @@ class JumpingLocusReport:
     __slots__ = ("scan_bound", "b1", "exponent", "depths", "_entries")
 
     def __init__(self, scan_bound: int | None, b1: int, entries: Iterable[JumpEntry]):
-        bound = scan_bound
-        if bound is not None:
-            bound = operator.index(bound)
-            if bound < 1:
-                raise SlopekitError(f"scan bound must be None or >= 1, got {bound}")
-        b1 = operator.index(b1)
+        bound = None if scan_bound is None else _json_int(scan_bound)
+        if bound is not None and bound < 1:
+            raise SlopekitError(f"scan bound must be None or >= 1, got {bound}")
+        b1 = _json_int(b1)
         if b1 < 0:
             raise SlopekitError(f"b1 must be >= 0, got {b1}")
         table = {}
@@ -768,15 +769,11 @@ class JumpingLocusReport:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "JumpingLocusReport":
-        """The report of ``to_json_dict``; its stated exponent must be the
-        derived one, and its entries closed under the Galois action.  Every
-        integer must be a JSON number: true and false are refused."""
-        bound = data["scan_bound"]
-        report = cls(
-            None if bound is None else _json_int(bound),
-            _json_int(data["b1"]),
-            (JumpEntry.from_json_dict(e) for e in data["entries"]),
-        )
+        """The report of ``to_json_dict``; its stated exponent, read here as it
+        exists in JSON alone, must be the derived one, and its entries closed
+        under the Galois action.  The constructors read every other integer."""
+        entries = (JumpEntry.from_json_dict(e) for e in data["entries"])
+        report = cls(data["scan_bound"], data["b1"], entries)
         if _json_int(data["exponent"]) != report.exponent:
             raise SlopekitError(
                 f"stated exponent {data['exponent']} != lcm of entry orders {report.exponent}"
@@ -836,7 +833,7 @@ def scan_jumping_loci(presentation: GroupPresentation, max_order: int) -> Jumpin
     m every nonzero exponent vector is canonical, and no gcd is taken.
     """
     global _scanning
-    max_order = operator.index(max_order)
+    max_order = _json_int(max_order)
     if max_order < 1:
         raise ValueError("scan bound must be >= 1")
     evaluator = _evaluator(presentation)

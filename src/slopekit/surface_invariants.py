@@ -11,7 +11,6 @@ exact rationals appear.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -42,7 +41,7 @@ class SurfaceInvariants:
 
     def __post_init__(self) -> None:
         for name in ("K2", "chi", "q", "pg"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+            object.__setattr__(self, name, _json_int(getattr(self, name)))
         if self.q < 0 or self.pg < 0:
             raise NoetherViolationError(f"q and p_g must be nonnegative, got q={self.q}, pg={self.pg}")
         if self.chi != 1 - self.q + self.pg:
@@ -55,7 +54,7 @@ class SurfaceInvariants:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SurfaceInvariants":
-        return cls(*(_json_int(data[name]) for name in ("K2", "chi", "q", "pg")))
+        return cls(*(data[name] for name in ("K2", "chi", "q", "pg")))
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,7 @@ class FamilyParams:
     """Indices (d, k): cyclic cover order and half the branch fiber count.
 
     ``cover_exponent`` optionally records the congruence d = 1 mod e that the
-    coprime cover construction guarantees; it is validated when present.
+    coprime cover construction guarantees; when present, it and e >= 1 are checked.
     """
 
     d: int
@@ -87,7 +86,11 @@ class FamilyParams:
     def __post_init__(self) -> None:
         if _json_int(self.d) < 1 or _json_int(self.k) < 1:
             raise SlopekitError("family parameters require d >= 1 and k >= 1")
-        if self.cover_exponent is not None and (self.d - 1) % _json_int(self.cover_exponent):
+        if self.cover_exponent is None:
+            return
+        if _json_int(self.cover_exponent) < 1:
+            raise SlopekitError(f"cover exponent must be >= 1, got {self.cover_exponent}")
+        if (self.d - 1) % self.cover_exponent:
             raise SlopekitError(
                 f"d = {self.d} is not congruent to 1 mod {self.cover_exponent}"
             )

@@ -8,11 +8,19 @@ from pathlib import Path
 
 import pytest
 
-from slopekit.density import TargetSlope
+from slopekit.covers import AbelianEpimorphism
+from slopekit.density import (
+    DensityCertificate, TargetSlope, certificate_rows, convergence_report, density_certificate,
+)
+from slopekit.errors import SlopekitError
 from slopekit.group_core import (
     AbelianGroupStructure, GroupPresentation, IntegerMatrix, LaurentPolynomial, MalformedWordError,
+    surface_group,
 )
-from slopekit.surface_invariants import FamilyParams, FibrationProfile
+from slopekit.jumping_loci import (
+    JumpEntry, JumpingLocusReport, TorsionCharacter, scan_jumping_loci,
+)
+from slopekit.surface_invariants import FamilyParams, FibrationProfile, SurfaceInvariants
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "slopekit").glob("*.py"))
 INTEGER_MATH = {"gcd", "lcm", "prod"}
@@ -76,4 +84,44 @@ def test_checker_sees_floating_point():
 def test_integer_constructors_refuse_floats_and_bools(cls, args, error):
     with pytest.raises(Exception) as info:
         cls(*args)
+    assert info.type is error
+
+
+XI = TorsionCharacter(2, (1, 0))
+HALF = TargetSlope(1, 2)
+# Each integer field is read once, by its constructor, so a bool (or a float)
+# given by a caller is refused as it would be from JSON.
+REFUSALS = [
+    ("character modulus True", lambda: TorsionCharacter(True, (1,)), TypeError),
+    ("character exponent True", lambda: TorsionCharacter(2, (True, 0)), TypeError),
+    ("entry depth True", lambda: JumpEntry(XI, True), TypeError),
+    ("entry depth 1.5", lambda: JumpEntry(XI, 1.5), TypeError),
+    ("report entry depth 1.5", lambda: JumpingLocusReport(None, 2, (JumpEntry(XI, 1.5),)), TypeError),
+    ("report scan bound True", lambda: JumpingLocusReport(True, 0, ()), TypeError),
+    ("report b1 True", lambda: JumpingLocusReport(None, True, ()), TypeError),
+    ("scan max order True", lambda: scan_jumping_loci(surface_group(1), True), TypeError),
+    ("invariants K2 True", lambda: SurfaceInvariants(True, 1, 1, 1), TypeError),
+    ("epimorphism source rank True", lambda: AbelianEpimorphism(True, (2,), ((1,),)), TypeError),
+    # epsilon is a Fraction, an int or a str: the float 0.1 is not 1/10
+    ("density_certificate epsilon 0.1", lambda: density_certificate(0.1, 1, 19, 20), TypeError),
+    ("density_certificate epsilon True", lambda: density_certificate(True, 1, 19, 20), TypeError),
+    ("DensityCertificate epsilon 0.1", lambda: DensityCertificate(0.1, 1, 19, 20), TypeError),
+    ("certificate_rows epsilon 0.1", lambda: certificate_rows(0.1, 1, 19, 20), TypeError),
+    ("certificate_rows max denominator True", lambda: certificate_rows("1/10", 1, 19, True), TypeError),
+    ("convergence_report epsilon 0.1", lambda: convergence_report(HALF, 1, 19, 0.1), TypeError),
+    ("convergence_report exponent True", lambda: convergence_report(HALF, True, 19, "1/10"), TypeError),
+    # a cover exponent below 1 divides nothing
+    ("family cover exponent 0", lambda: FamilyParams(3, 1, 0), SlopekitError),
+    ("family cover exponent -2", lambda: FamilyParams(3, 1, -2), SlopekitError),
+    ("matrix entry True", lambda: IntegerMatrix([[True, 2]]), TypeError),
+    ("laurent exponent True", lambda: LaurentPolynomial(1, {(True,): 1}), TypeError),
+    ("laurent coefficient True", lambda: LaurentPolynomial(1, {(1,): True}), TypeError),
+]
+
+
+@pytest.mark.parametrize("build, error", [case[1:] for case in REFUSALS],
+                         ids=[case[0] for case in REFUSALS])
+def test_each_integer_field_is_checked_by_its_constructor(build, error):
+    with pytest.raises(Exception) as info:
+        build()
     assert info.type is error
